@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
+from typing import Iterator
 
 from .errors import (
     InvariantViolated,
@@ -76,6 +77,17 @@ class NormalizedQuad:
             raise InvariantViolated("normal form requires b, c in (1, n/2)")
 
 
+def _normal_form_quads(n: int) -> Iterator[NormalizedQuad]:
+    """Every parameter triple of the normal form over Z_n, by c then b.
+
+    For each c the range of b is exactly the one where a = c + 1 - b
+    satisfies 2 <= a <= b.
+    """
+    for c in range(2, (n - 1) // 2 + 1):
+        for b in range((c + 2) // 2, c):
+            yield NormalizedQuad(n, c + 1 - b, b, c)
+
+
 def denormalize(quad: NormalizedQuad) -> GroupSequence:
     """The sorted quad [1, c, n-b, n-a] as a sequence over Z_n."""
     n = quad.n
@@ -127,25 +139,24 @@ def normalize_quad(seq: GroupSequence) -> NormalizedQuad | None:
     return None
 
 
-def _match_a1(gcd_multiset: list[int], primes: tuple[int, ...]):
+def _match_gcd_pattern(multiset: list[int], primes: tuple[int, ...]) -> PatternClass:
+    """A1, A2 or A4 for a sorted gcd multiset that is not all ones, else Other.
+
+    primes are the three prime divisors of a squarefree n; the roles are
+    those of the first prime assignment that matches.
+    """
+    if multiset[0] != 1:
+        for q1, q2, q3 in permutations(primes):
+            if multiset == sorted((q1 * q2, q2, q1 * q3, q3)):
+                return PatternClass(Pattern.A1, (q1, q2, q3))
+        return PatternClass(Pattern.OTHER)
     for q1, q2, q3 in permutations(primes):
-        if gcd_multiset == sorted((q1 * q2, q2, q1 * q3, q3)):
-            return q1, q2, q3
-    return None
-
-
-def _match_a2(gcd_multiset: list[int], primes: tuple[int, ...]):
-    for q1, q2, q3 in permutations(primes):
-        if gcd_multiset == sorted((1, q1, q2, q1 * q2)):
-            return q1, q2, q3
-    return None
-
-
-def _match_a4(gcd_multiset: list[int], primes: tuple[int, ...]):
+        if multiset == sorted((1, q1, q2, q1 * q2)):
+            return PatternClass(Pattern.A2, (q1, q2, q3))
     p1, p2, p3 = primes
-    if gcd_multiset == sorted((1, p1 * p2, p1 * p3, p2 * p3)):
-        return p1, p2, p3
-    return None
+    if multiset == sorted((1, p1 * p2, p1 * p3, p2 * p3)):
+        return PatternClass(Pattern.A4, (p1, p2, p3))
+    return PatternClass(Pattern.OTHER)
 
 
 def classify_pattern(seq: GroupSequence) -> PatternClass:
@@ -167,23 +178,12 @@ def classify_pattern(seq: GroupSequence) -> PatternClass:
     if len(primes) != 3 or not mod.is_squarefree:
         return PatternClass(Pattern.OTHER)
     multiset = sorted(profile.gcds)
-    if multiset == [1, 1, 1, 1]:
-        quad = normalize_quad(seq)
-        if quad is None:
-            return PatternClass(Pattern.OTHER)
-        return _classify_all_units(quad, primes)
-    if multiset[0] == 1:
-        roles = _match_a2(multiset, primes)
-        if roles is not None:
-            return PatternClass(Pattern.A2, roles)
-        roles = _match_a4(multiset, primes)
-        if roles is not None:
-            return PatternClass(Pattern.A4, roles)
+    if multiset != [1, 1, 1, 1]:
+        return _match_gcd_pattern(multiset, primes)
+    quad = normalize_quad(seq)
+    if quad is None:
         return PatternClass(Pattern.OTHER)
-    roles = _match_a1(multiset, primes)
-    if roles is not None:
-        return PatternClass(Pattern.A1, roles)
-    return PatternClass(Pattern.OTHER)
+    return _classify_all_units(quad, primes)
 
 
 def _classify_all_units(quad: NormalizedQuad, primes: tuple[int, ...]) -> PatternClass:

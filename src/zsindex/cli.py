@@ -174,11 +174,19 @@ def _cex_payload(cex) -> dict:
     }
 
 
-def _emit(payload, args, text_lines=None) -> None:
+def _emit(payload, args, text_lines=None, csv_rows=None) -> None:
+    """Render the report in the requested format to --output or stdout.
+
+    csv_rows (header first) is given only by commands that support csv.
+    """
     if args.format == "json":
         rendered = json.dumps(payload, indent=2, default=str) + "\n"
     elif args.format == "text":
         rendered = "\n".join(text_lines or [json.dumps(payload, default=str)]) + "\n"
+    elif csv_rows is not None:
+        buf = io.StringIO()
+        csv.writer(buf).writerows(csv_rows)
+        rendered = buf.getvalue()
     else:
         raise UsageError("csv format is only supported for the verify command")
     if args.output:
@@ -214,17 +222,19 @@ def _config_digest(command: str, semantic: dict) -> str:
 def _load_cache(path: str, digest: str, strict: bool) -> dict[int, dict]:
     """Records from an existing cache that match the current digest.
 
-    A corrupt trailing line (crash during append) is removed from the
-    file with a warning; corrupt interior lines are skipped in memory
+    A corrupt trailing line (crash during append) is cut off the file
+    with a warning, by truncating at its first byte so the lines before
+    it are never rewritten; corrupt interior lines are skipped in memory
     only.  Error records are never reused, so failed n values rerun.
     """
     if not os.path.exists(path):
         return {}
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    with open(path, "rb") as fh:
         lines = fh.readlines()
     records: dict[int, dict] = {}
     truncate_at = None
-    for i, line in enumerate(lines):
+    for i, raw in enumerate(lines):
+        line = raw.decode("utf-8", errors="replace")
         if not line.strip():
             continue
         try:
@@ -255,8 +265,7 @@ def _load_cache(path: str, digest: str, strict: bool) -> dict[int, dict]:
         except (KeyError, TypeError, ValueError):
             print(f"warning: malformed cache record on line {i + 1}", file=sys.stderr)
     if truncate_at is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines[:truncate_at])
+        os.truncate(path, sum(len(raw) for raw in lines[:truncate_at]))
     return records
 
 
@@ -496,25 +505,15 @@ def cmd_verify(args) -> int:
         "all_verified": statuses <= {"verified"},
         "results": results,
     }
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(_CSV_COLUMNS)
-        for row in results:
-            writer.writerow([row.get(col) for col in _CSV_COLUMNS])
-        rendered = buf.getvalue()
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
-        else:
-            sys.stdout.write(rendered)
-    else:
-        lines = [
-            f"n={row['n']} {row['status']} classes={row['class_count']} "
-            f"max_index={row['max_index']}"
-            for row in results
-        ] + [f"all_verified={payload['all_verified']}"]
-        _emit(payload, args, lines)
+    lines = [
+        f"n={row['n']} {row['status']} classes={row['class_count']} "
+        f"max_index={row['max_index']}"
+        for row in results
+    ] + [f"all_verified={payload['all_verified']}"]
+    csv_rows = [_CSV_COLUMNS] + [
+        [row.get(col) for col in _CSV_COLUMNS] for row in results
+    ]
+    _emit(payload, args, lines, csv_rows)
     if "error" in statuses:
         return 1
     return 2 if "counterexample" in statuses else 0

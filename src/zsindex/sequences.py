@@ -106,31 +106,25 @@ def _subset_sum_bits(n: int, elems: Iterable[int]) -> int:
 def is_minimal_zero_sum(seq: GroupSequence) -> bool:
     """True iff seq is zero-sum and no proper nonempty subset is zero-sum.
 
-    Proper subsets are scanned over the first k-1 elements only: for a
-    zero-sum total, a proper zero-sum subset exists iff one avoids the
-    last element (take complements).  Guarded at k <= 24.
+    Guarded at k <= 24.
     """
-    if seq.k > MAX_MINIMALITY_LENGTH:
-        raise LengthTooLarge(f"minimality guard: k = {seq.k} > 24")
-    if not is_zero_sum(seq):
-        return False
-    return _subset_sum_bits(seq.n, seq.elems[:-1]) & 1 == 0
+    return _multiset_minimal_zero_sum(seq.n, seq.elems)
 
 
-def index_of(seq: GroupSequence) -> IndexResult:
-    """Minimum norm over all units, with the smallest achieving t.
+def _index_numerator(n: int, elems: tuple[int, ...], mask: bytes) -> tuple[int, int]:
+    """(min norm numerator, smallest witness unit) for a raw tuple.
 
     Scans units in increasing order and stops early once the norm hits
     the theoretical floor (the least multiple of n that is >= k for a
     zero-sum sequence, k otherwise), which no unit can beat.
     """
-    n = seq.n
-    elems = seq.elems
     k = len(elems)
     floor_sum = n * ((k + n - 1) // n) if sum(elems) % n == 0 else k
     best = 0
     witness = 0
-    for t in seq.modulus.units():
+    for t in range(1, n):
+        if not mask[t]:
+            continue
         total = 0
         for x in elems:
             total += t * x % n
@@ -139,6 +133,13 @@ def index_of(seq: GroupSequence) -> IndexResult:
             witness = t
             if total <= floor_sum:
                 break
+    return best, witness
+
+
+def index_of(seq: GroupSequence) -> IndexResult:
+    """Minimum norm over all units, with the smallest achieving t."""
+    n = seq.n
+    best, witness = _index_numerator(n, seq.elems, seq.modulus.unit_mask())
     return IndexResult(
         numerator=best,
         modulus_n=n,
@@ -158,9 +159,11 @@ def scale_seq(seq: GroupSequence, p: int) -> tuple[int, ...]:
 def _multiset_minimal_zero_sum(n: int, values: tuple[int, ...]) -> bool:
     """Minimality for raw multisets with values in [1, n] (n = identity).
 
-    A length-1 multiset is never counted as minimal here: the lone
-    identity is the trivial zero-sum sequence, and a lone non-identity
-    is not zero-sum at all.
+    Proper subsets are scanned over the first k-1 values only: for a
+    zero-sum total, a proper zero-sum subset exists iff one avoids the
+    last value (take complements).  A length-1 multiset is never counted
+    as minimal here: the lone identity is the trivial zero-sum sequence,
+    and a lone non-identity is not zero-sum at all.
     """
     if len(values) > MAX_MINIMALITY_LENGTH:
         raise LengthTooLarge(f"minimality guard: k = {len(values)} > 24")
@@ -193,19 +196,14 @@ def _canonical_tuple(
     the only candidate multipliers are inverses of unit elements; other
     sequences fall back to the full unit scan.
     """
-    candidates = {inv[x] for x in elems if mask[x]}
+    candidates = [inv[x] for x in elems if mask[x]] or [
+        t for t in range(1, n) if mask[t]
+    ]
     best: tuple[int, ...] | None = None
-    if candidates:
-        for t in candidates:
-            cur = tuple(sorted(t * x % n for x in elems))
-            if best is None or cur < best:
-                best = cur
-        return best
-    for t in range(1, n):
-        if mask[t]:
-            cur = tuple(sorted(t * x % n for x in elems))
-            if best is None or cur < best:
-                best = cur
+    for t in candidates:
+        cand = tuple(sorted([t * x % n for x in elems]))
+        if best is None or cand < best:
+            best = cand
     assert best is not None
     return best
 

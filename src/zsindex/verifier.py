@@ -25,15 +25,13 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from .classify import (
-    NormalizedQuad,
     Pattern,
-    _match_a1,
-    _match_a2,
-    _match_a4,
+    _match_gcd_pattern,
+    _normal_form_quads,
     classify_pattern,
     normalize_quad,
 )
-from .errors import InvariantViolated, PreconditionViolated
+from .errors import CeilMismatch, InvariantViolated, PreconditionViolated
 from .lemmas import (
     compute_k1,
     compute_s,
@@ -43,7 +41,13 @@ from .lemmas import (
     lemma35_cond,
     remark32_check,
 )
-from .sequences import GroupSequence, _canonical_tuple, is_minimal_zero_sum, is_reduced
+from .sequences import (
+    GroupSequence,
+    _canonical_tuple,
+    _index_numerator,
+    is_minimal_zero_sum,
+    is_reduced,
+)
 from .zncore import Modulus, factorize
 
 
@@ -127,28 +131,6 @@ class Remark32Report:
     elapsed: float
 
 
-def _index_numerator_raw(
-    n: int, elems: tuple[int, ...], mask: bytes
-) -> tuple[int, int]:
-    """(min norm numerator, smallest witness unit) for a raw tuple."""
-    k = len(elems)
-    floor_sum = n * ((k + n - 1) // n) if sum(elems) % n == 0 else k
-    best = 0
-    wit = 0
-    for t in range(1, n):
-        if not mask[t]:
-            continue
-        total = 0
-        for x in elems:
-            total += t * x % n
-        if wit == 0 or total < best:
-            best = total
-            wit = t
-            if total <= floor_sum:
-                break
-    return best, wit
-
-
 def _is_reduced_quad_raw(
     n: int, elems: tuple[int, ...], cofactors: tuple[int, ...]
 ) -> bool:
@@ -167,43 +149,29 @@ def _is_reduced_quad_raw(
     return True
 
 
-def _canonical_unit_quad(
-    n: int, elems: tuple[int, ...], mask: bytes, inv: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Canonical form for quads that contain at least one unit element."""
-    best = None
-    for x in elems:
-        if not mask[x]:
-            continue
-        t = inv[x]
-        cand = tuple(sorted((t * e % n for e in elems)))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+def _unit_stripe(n: int) -> Iterator[tuple[int, int, int, int]]:
+    """Sorted minimal zero-sum quads (1, y2, y3, y4) with y4 forced.
+
+    Every orbit with a unit element contains a sorted representative
+    starting with 1, so the stripe meets every such class.  Minimality
+    for a zero-sum quad is exactly that no pair containing the first
+    element sums to 0 mod n, i.e. every element is at most n - 2; the
+    integer total is then n or 2n, and for each total the y3 range is
+    the one where y3 <= y4 <= n - 2.
+    """
+    for y2 in range(1, n - 1):
+        for total in (n, 2 * n):
+            rest = total - 1 - y2
+            for y3 in range(max(y2, rest - n + 2), rest // 2 + 1):
+                yield (1, y2, y3, rest - y3)
 
 
 def _coprime_class_tuples(n: int) -> set[tuple[int, ...]]:
-    """Canonical classes of minimal zero-sum quads with a unit element.
-
-    Every such orbit contains a sorted representative starting with 1,
-    so scanning (1, y2, y3, y4) with y4 forced by the zero sum is
-    complete.  Minimality for a zero-sum quad is exactly that no pair
-    containing the first element sums to 0 mod n.
-    """
+    """Canonical classes of minimal zero-sum quads with a unit element."""
     mod = factorize(n)
     mask = mod.unit_mask()
     inv = mod.inverse_table()
-    seen: set[tuple[int, ...]] = set()
-    top = n - 1
-    for y2 in range(1, top):
-        rem = 2 * n - 1 - y2
-        for y3 in range(y2, top):
-            y4 = (rem - y3) % n
-            if y4 < y3 or y4 == top:
-                continue
-            seen.add(_canonical_unit_quad(n, (1, y2, y3, y4), mask, inv))
-    return seen
+    return {_canonical_tuple(n, quad, mask, inv) for quad in _unit_stripe(n)}
 
 
 def _noncoprime_gcd1_class_tuples(n: int) -> set[tuple[int, ...]]:
@@ -273,21 +241,6 @@ def naive_minimal_quad_classes(n: int) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def _abc_class_tuples(n: int) -> set[tuple[int, ...]]:
-    """Canonical classes reached through the normal-form parameter space."""
-    mod = factorize(n)
-    mask = mod.unit_mask()
-    inv = mod.inverse_table()
-    seen: set[tuple[int, ...]] = set()
-    for c in range(2, (n - 1) // 2 + 1):
-        for b in range((c + 2) // 2, c):
-            a = c + 1 - b
-            if a < 2 or a > b:
-                continue
-            seen.add(_canonical_unit_quad(n, (1, c, n - b, n - a), mask, inv))
-    return seen
-
-
 def enumerate_minimal_quads(
     n: int,
     require_coprime_element: bool = False,
@@ -303,7 +256,12 @@ def enumerate_minimal_quads(
     """
     mod = factorize(n)
     if require_coprime_element:
-        tuples = _abc_class_tuples(n)
+        mask = mod.unit_mask()
+        inv = mod.inverse_table()
+        tuples = {
+            _canonical_tuple(n, (1, q.c, n - q.b, n - q.a), mask, inv)
+            for q in _normal_form_quads(n)
+        }
     else:
         tuples = set(all_minimal_quad_classes(n))
     for elems in sorted(tuples):
@@ -336,7 +294,7 @@ def verify_conjecture(n: int) -> VerifyReport:
     max_index = 0
     classes = all_minimal_quad_classes(n)
     for elems in classes:
-        num, _ = _index_numerator_raw(n, elems, mask)
+        num, _ = _index_numerator(n, elems, mask)
         value = num // n
         if value > max_index:
             max_index = value
@@ -470,7 +428,7 @@ def search_high_index(
         target = min_index * n
 
         def consider(elems: tuple[int, ...]) -> None:
-            num, _ = _index_numerator_raw(n, elems, mask)
+            num, _ = _index_numerator(n, elems, mask)
             if num >= target:
                 canon = _canonical_tuple(n, elems, mask, inv)
                 key = (n, canon)
@@ -515,38 +473,11 @@ def _reduced_unit_classes(n: int) -> list[tuple[int, ...]]:
     mask = mod.unit_mask()
     inv = mod.inverse_table()
     cofactors = tuple(n // p for p in mod.prime_divisors)
-    seen: set[tuple[int, ...]] = set()
-    top = n - 1
-    for y2 in range(1, top):
-        rem = 2 * n - 1 - y2
-        for y3 in range(y2, top):
-            y4 = (rem - y3) % n
-            if y4 < y3 or y4 == top:
-                continue
-            quad = (1, y2, y3, y4)
-            if _is_reduced_quad_raw(n, quad, cofactors):
-                seen.add(_canonical_unit_quad(n, quad, mask, inv))
-    return sorted(seen)
-
-
-def _statement_pattern(n: int, elems: tuple[int, ...], primes: tuple[int, ...]) -> str | None:
-    """Which gcd-multiset statement the quad satisfies, if any.
-
-    A3 here is the plain statement (every gcd is 1) with no normal-form
-    refinement attached.
-    """
-    multiset = sorted(math.gcd(x, n) for x in elems)
-    if multiset == [1, 1, 1, 1]:
-        return "A3"
-    if multiset[0] == 1:
-        if _match_a2(multiset, primes) is not None:
-            return "A2"
-        if _match_a4(multiset, primes) is not None:
-            return "A4"
-        return None
-    if _match_a1(multiset, primes) is not None:
-        return "A1"
-    return None
+    return sorted({
+        _canonical_tuple(n, quad, mask, inv)
+        for quad in _unit_stripe(n)
+        if _is_reduced_quad_raw(n, quad, cofactors)
+    })
 
 
 def validate_theorem21(n: int) -> Theorem21Report:
@@ -572,7 +503,7 @@ def validate_theorem21(n: int) -> Theorem21Report:
     classes = _reduced_unit_classes(n)
     for elems in classes:
         if d == 4:
-            num, _ = _index_numerator_raw(n, elems, mask)
+            num, _ = _index_numerator(n, elems, mask)
             anomalies.append(
                 Counterexample(
                     n=n,
@@ -583,9 +514,13 @@ def validate_theorem21(n: int) -> Theorem21Report:
                 )
             )
             continue
-        statement = _statement_pattern(n, elems, primes)
-        if statement is None:
-            num, _ = _index_numerator_raw(n, elems, mask)
+        gcds = sorted(math.gcd(x, n) for x in elems)
+        if gcds == [1, 1, 1, 1]:
+            pattern = Pattern.A3
+        else:
+            pattern = _match_gcd_pattern(gcds, primes).pattern
+        if pattern is Pattern.OTHER:
+            num, _ = _index_numerator(n, elems, mask)
             anomalies.append(
                 Counterexample(
                     n=n,
@@ -596,8 +531,8 @@ def validate_theorem21(n: int) -> Theorem21Report:
                 )
             )
             continue
-        census[statement] += 1
-        if statement == "A3":
+        census[pattern.value] += 1
+        if pattern is Pattern.A3:
             cls = classify_pattern(GroupSequence(mod, elems))
             if cls.pattern is not Pattern.A3:
                 a3_unrefined += 1
@@ -634,56 +569,52 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
     quad_count = 0
     s_applicable = 0
     probes_on = n > 1000
-    for c in range(2, (n - 1) // 2 + 1):
-        for b in range((c + 2) // 2, c):
-            a = c + 1 - b
-            if a < 2 or a > b:
+    for quad in _normal_form_quads(n):
+        a, b, c = quad.a, quad.b, quad.c
+        quad_count += 1
+        elems = (1, c, n - b, n - a)
+        num, _ = _index_numerator(n, elems, mask)
+        value = num // n
+        outcomes = [
+            ("33.1", lemma33_cond1(quad)),
+            ("33.2", lemma33_cond2(quad)),
+            ("34", lemma34_cond(quad)),
+        ]
+        s = compute_s(quad)
+        fired_35 = False
+        if s >= 2:
+            s_applicable += 1
+            o35 = lemma35_cond(quad)
+            fired_35 = o35.fired
+            outcomes.append(("35", o35))
+        for name, outcome in outcomes:
+            if not outcome.fired:
                 continue
-            quad = NormalizedQuad(n, a, b, c)
-            quad_count += 1
-            elems = (1, c, n - b, n - a)
-            num, _ = _index_numerator_raw(n, elems, mask)
-            value = num // n
-            outcomes = [
-                ("33.1", lemma33_cond1(quad)),
-                ("33.2", lemma33_cond2(quad)),
-                ("34", lemma34_cond(quad)),
-            ]
-            s = compute_s(quad)
-            fired_35 = False
-            if s >= 2:
-                s_applicable += 1
-                o35 = lemma35_cond(quad)
-                fired_35 = o35.fired
-                outcomes.append(("35", o35))
-            for name, outcome in outcomes:
-                if not outcome.fired:
-                    continue
-                fired[name] += 1
-                if value == 1:
-                    continue
-                record = Counterexample(
-                    n=n,
-                    elems=elems,
-                    index_numerator=num,
-                    context=f"lemma-{name}",
-                    detail=f"(a,b,c)=({a},{b},{c}), witness {outcome.witness}",
-                )
-                if name == "34":
-                    findings_34.append(record)
-                else:
-                    violations[name].append(record)
-            if probes_on and (s < 2 or not fired_35):
-                if s > 9:
-                    probe_s.append((n, a, b, c))
-                try:
-                    k1 = compute_k1(quad)
-                    if k1 > 6:
-                        probe_k1.append((n, a, b, c))
-                except InvariantViolated:
-                    k1_undefined += 1
-                except Exception:
-                    pass
+            fired[name] += 1
+            if value == 1:
+                continue
+            record = Counterexample(
+                n=n,
+                elems=elems,
+                index_numerator=num,
+                context=f"lemma-{name}",
+                detail=f"(a,b,c)=({a},{b},{c}), witness {outcome.witness}",
+            )
+            if name == "34":
+                findings_34.append(record)
+            else:
+                violations[name].append(record)
+        if probes_on and (s < 2 or not fired_35):
+            if s > 9:
+                probe_s.append((n, a, b, c))
+            try:
+                k1 = compute_k1(quad)
+                if k1 > 6:
+                    probe_k1.append((n, a, b, c))
+            except InvariantViolated:
+                k1_undefined += 1
+            except CeilMismatch:
+                pass
     vacuous = {
         "lemma35": s_applicable == 0,
         "probes": not probes_on,
@@ -745,7 +676,7 @@ def validate_remark32(lo: int, hi: int) -> Remark32Report:
             n_qualifying += 1
             census[cls.pattern.value] += 1
             if not remark32_check(quad, cls.pattern):
-                num, _ = _index_numerator_raw(n, elems, mask)
+                num, _ = _index_numerator(n, elems, mask)
                 violations.append(
                     Counterexample(
                         n=n,

@@ -212,6 +212,15 @@ def test_verify_cache_corrupt_trailing_line(tmp_path, capsys):
     assert "corrupt trailing" in err
     assert cache.read_text().splitlines() == intact.splitlines()
     assert all(row["from_cache"] for row in json.loads(out)["results"])
+    # the repair cuts only the bad tail: the lines before it, a corrupt
+    # interior line with invalid UTF-8 included, keep their exact bytes
+    kept = cache.read_bytes() + b'\xff{"n": 98\n'
+    cache.write_bytes(kept + b'{"n": 99, "status"')
+    code, _, err = run_cli(capsys, *args)
+    assert code == 0
+    assert "skipping corrupt cache line" in err
+    assert "corrupt trailing" in err
+    assert cache.read_bytes() == kept
 
 
 def test_verify_cache_foreign_digest(tmp_path, capsys):

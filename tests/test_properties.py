@@ -10,14 +10,19 @@ from zsindex import (
     IntervalQ,
     all_minimal_quad_classes,
     canonical_rep,
+    enumerate_minimal_quads,
     factorize,
     index_of,
     interval_integers,
     is_minimal_zero_sum,
+    is_reduced,
     is_zero_sum,
     iter_minimal_tuples,
     naive_minimal_quad_classes,
+    normalize_quad,
     seq_norm,
+    validate_theorem21,
+    verify_conjecture,
 )
 
 
@@ -54,6 +59,19 @@ def test_canonical_enumeration_matches_naive_all_n_60():
         fast = sorted(all_minimal_quad_classes(n))
         naive = sorted(naive_minimal_quad_classes(n))
         assert fast == naive, n
+        # the paths that share the canonical form and the unit stripe
+        # with the fast enumerator, pinned against the naive classes
+        mod = factorize(n)
+        seqs = [GroupSequence(mod, elems) for elems in naive]
+        assert verify_conjecture(n).reduced_count == sum(map(is_reduced, seqs)), n
+        with_unit = [s for s in seqs if any(math.gcd(x, n) == 1 for x in s.elems)]
+        coprime = enumerate_minimal_quads(n, require_coprime_element=True)
+        assert [s.elems for s in coprime] == [
+            s.elems for s in with_unit if normalize_quad(s) is not None
+        ], n
+        if n in (30, 42):
+            qualifying = sum(map(is_reduced, with_unit))
+            assert validate_theorem21(n).qualifying_count == qualifying, n
 
 
 def test_interval_arithmetic_randomized():
@@ -121,11 +139,13 @@ def test_canonical_rep_orbit_constant_random():
         s = _random_sequence(rng, n_max=300, k_max=5)
         n = s.n
         rep = canonical_rep(s)
-        t = rng.choice([u for u in range(1, n) if math.gcd(u, n) == 1])
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        t = rng.choice(units)
         scaled = GroupSequence.of(n, [t * x % n for x in s.elems])
         assert canonical_rep(scaled).elems == rep.elems
         # the representative is itself in the orbit and no candidate beats it
         assert rep.elems <= s.elems
+        assert rep.elems == min(tuple(sorted(u * x % n for x in s.elems)) for u in units)
 
 
 def test_class_counts_nonnegative_and_census_bounded():

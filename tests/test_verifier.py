@@ -261,6 +261,18 @@ def test_validate_lemmas_even_modulus_misfires():
     assert any(c.elems == (1, 5, 14, 16) for c in report.violations["35"])
 
 
+def test_validate_lemmas_k1_probe_propagates_unexpected_errors(monkeypatch):
+    # the probe tolerates only the errors compute_k1 documents
+    import zsindex.verifier as verifier
+
+    def broken(quad):
+        raise TypeError("not a documented k1 failure")
+
+    monkeypatch.setattr(verifier, "compute_k1", broken)
+    with pytest.raises(TypeError, match="not a documented"):
+        validate_lemmas(1001)
+
+
 def test_three_prime_moduli_window():
     assert three_prime_moduli(1000, 1500) == [
         1001, 1015, 1045, 1085, 1105, 1235, 1265, 1295, 1309, 1435, 1463, 1495,
