@@ -50,6 +50,10 @@ from .verifier import (
 from .zncore import factorize
 
 _FORMATS = ("json", "csv", "text")
+# Hashed into every cache digest.  Bump it when a cached row's meaning
+# changes (the record fields, or what verify_conjecture counts as a
+# class) so that rows written under the old meaning are recomputed.
+_CACHE_SCHEMA = 1
 _CSV_COLUMNS = ("n", "status", "class_count", "max_index", "elapsed_ms", "from_cache")
 
 
@@ -213,9 +217,8 @@ def _resolve_jobs(requested: int | None) -> int:
 
 
 def _config_digest(command: str, semantic: dict) -> str:
-    blob = json.dumps(
-        {"command": command, "version": __version__, **semantic}, sort_keys=True
-    )
+    fields = {"command": command, "schema": _CACHE_SCHEMA, "version": __version__}
+    blob = json.dumps({**fields, **semantic}, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

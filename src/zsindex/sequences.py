@@ -20,7 +20,7 @@ from .errors import (
     NotAUnit,
     NotMinimal,
 )
-from .zncore import Modulus, factorize, residue_rep
+from .zncore import Modulus, _lift_table, factorize, residue_rep
 
 # Guard for subset enumeration in minimality tests.
 MAX_MINIMALITY_LENGTH = 24
@@ -184,33 +184,33 @@ def is_reduced(seq: GroupSequence) -> bool:
     return True
 
 
-def _canonical_tuple(
-    n: int,
-    elems: tuple[int, ...],
-    mask: bytes,
-    inv: tuple[int, ...],
-) -> tuple[int, ...]:
+def _canonical_tuple(n: int, elems: tuple[int, ...], d: int) -> tuple[int, ...]:
     """Lexicographically smallest sorted(t * elems mod n) over units t.
 
-    When some element is a unit the minimum starts with residue 1, and
-    the only candidate multipliers are inverses of unit elements; other
-    sequences fall back to the full unit scan.
+    d must be the least gcd(x, n) over the elements.  The unit orbit of
+    x is the set of residues with the same gcd, whose smallest member is
+    that gcd, so the minimum starts with d and the only candidate
+    multipliers are the units t with t * x == d for an element x with
+    gcd(x, n) == d.
     """
-    candidates = [inv[x] for x in elems if mask[x]] or [
-        t for t in range(1, n) if mask[t]
-    ]
+    lifts = _lift_table(n, d)
     best: tuple[int, ...] | None = None
-    for t in candidates:
-        cand = tuple(sorted([t * x % n for x in elems]))
-        if best is None or cand < best:
-            best = cand
+    for x in elems:
+        if x % d:
+            continue
+        for t in lifts[x // d]:
+            cand = tuple(sorted([t * y % n for y in elems]))
+            if best is None or cand < best:
+                best = cand
     assert best is not None
     return best
 
 
+def _min_gcd(n: int, elems: tuple[int, ...]) -> int:
+    return min(math.gcd(x, n) for x in elems)
+
+
 def canonical_rep(seq: GroupSequence) -> GroupSequence:
     """Canonical orbit representative under the unit action."""
-    best = _canonical_tuple(
-        seq.n, seq.elems, seq.modulus.unit_mask(), seq.modulus.inverse_table()
-    )
+    best = _canonical_tuple(seq.n, seq.elems, _min_gcd(seq.n, seq.elems))
     return GroupSequence(seq.modulus, best)

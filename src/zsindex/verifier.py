@@ -1,14 +1,16 @@
 """Exhaustive verification over orbit classes of minimal zero-sum quads.
 
-Classes (orbits under the unit action) are enumerated from three
-disjoint sources: quads containing a unit element (every such orbit has
-a representative starting with residue 1), quads with no unit element
-but trivial global gcd (elements drawn from the non-unit residues), and
-quads with global gcd d > 1 (delegated to the Z_{n/d} subproblem and
-lifted back by d, which preserves classes, minimality and index).
+Classes (orbits under the unit action) are enumerated from one divisor
+stripe.  The unit orbit of x is the set of residues with gcd gcd(x, n),
+whose smallest member is that gcd, so the canonical (lexicographically
+smallest) member of a class starts with d = min gcd(x, n) over its
+elements.  Sweeping the sorted quads (d, y2, y3, y4) whose elements all
+have gcd >= d, for each proper divisor d of n, therefore meets every
+class, and canonicalising them needs only the units that map an element
+of gcd d to d.
 
 A slower single-loop reference enumeration over all sorted triples with
-the fourth element forced is kept for cross-checking the decomposition.
+the fourth element forced is kept for cross-checking the stripe.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import random
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterator
 
 from .classify import (
@@ -45,6 +47,7 @@ from .sequences import (
     GroupSequence,
     _canonical_tuple,
     _index_numerator,
+    _min_gcd,
     is_minimal_zero_sum,
     is_reduced,
 )
@@ -149,83 +152,45 @@ def _is_reduced_quad_raw(
     return True
 
 
-def _unit_stripe(n: int) -> Iterator[tuple[int, int, int, int]]:
-    """Sorted minimal zero-sum quads (1, y2, y3, y4) with y4 forced.
+def _stripe(n: int, d: int) -> Iterator[tuple[int, int, int, int]]:
+    """Sorted minimal zero-sum quads (d, y2, y3, y4), y4 forced, whose
+    elements all have gcd(y, n) >= d.
 
-    Every orbit with a unit element contains a sorted representative
-    starting with 1, so the stripe meets every such class.  Minimality
-    for a zero-sum quad is exactly that no pair containing the first
-    element sums to 0 mod n, i.e. every element is at most n - 2; the
-    integer total is then n or 2n, and for each total the y3 range is
-    the one where y3 <= y4 <= n - 2.
+    Such a quad is minimal iff no element equals n - d (no pair with
+    the first element vanishes).  A residue y above n - d has
+    gcd(y, n) <= n - y < d, so every element is at most n - d - 1, the
+    integer total is n or 2n, and for each total the y3 range is the one
+    where y3 <= y4 <= n - d - 1.
     """
-    for y2 in range(1, n - 1):
+    top = n - d - 1
+    allowed = None if d == 1 else bytes(math.gcd(y, n) >= d for y in range(n))
+    for y2 in range(d, top + 1):
+        if allowed is not None and not allowed[y2]:
+            continue
         for total in (n, 2 * n):
-            rest = total - 1 - y2
-            for y3 in range(max(y2, rest - n + 2), rest // 2 + 1):
-                yield (1, y2, y3, rest - y3)
-
-
-def _coprime_class_tuples(n: int) -> set[tuple[int, ...]]:
-    """Canonical classes of minimal zero-sum quads with a unit element."""
-    mod = factorize(n)
-    mask = mod.unit_mask()
-    inv = mod.inverse_table()
-    return {_canonical_tuple(n, quad, mask, inv) for quad in _unit_stripe(n)}
-
-
-def _noncoprime_gcd1_class_tuples(n: int) -> set[tuple[int, ...]]:
-    """Canonical classes with no unit element but global gcd 1."""
-    mod = factorize(n)
-    mask = mod.unit_mask()
-    inv = mod.inverse_table()
-    pool = [r for r in range(1, n) if not mask[r]]
-    members = set(pool)
-    seen: set[tuple[int, ...]] = set()
-    count = len(pool)
-    for i in range(count):
-        x1 = pool[i]
-        for j in range(i, count):
-            x2 = pool[j]
-            if (x1 + x2) % n == 0:
-                continue
-            for l in range(j, count):
-                x3 = pool[l]
-                x4 = (-x1 - x2 - x3) % n
-                if x4 < x3 or x4 not in members:
-                    continue
-                if (x1 + x3) % n == 0 or (x1 + x4) % n == 0:
-                    continue
-                if math.gcd(x1, x2, x3, x4, n) != 1:
-                    continue
-                seen.add(_canonical_tuple(n, (x1, x2, x3, x4), mask, inv))
-    return seen
-
-
-@lru_cache(maxsize=64)
-def _gcd1_class_tuples(n: int) -> frozenset[tuple[int, ...]]:
-    """All canonical classes with global gcd 1 over Z_n."""
-    return frozenset(_coprime_class_tuples(n) | _noncoprime_gcd1_class_tuples(n))
+            rest = total - d - y2
+            for y3 in range(max(y2, rest - top), rest // 2 + 1):
+                if allowed is None or allowed[y3] and allowed[rest - y3]:
+                    yield (d, y2, y3, rest - y3)
 
 
 def all_minimal_quad_classes(n: int) -> list[tuple[int, ...]]:
     """Sorted canonical representatives of every minimal zero-sum quad
-    class over Z_n, including classes with nontrivial global gcd."""
-    classes = set(_gcd1_class_tuples(n))
-    for d in factorize(n).divisors():
-        if d == 1 or n // d < 4:
-            continue
-        for base in _gcd1_class_tuples(n // d):
-            classes.add(tuple(d * x for x in base))
+    class over Z_n, including classes with nontrivial global gcd.
+
+    The canonical representative of a class starts with d, the least
+    gcd(x, n) over its elements, so the stripes over the proper
+    divisors d of n meet every class, each class in exactly one stripe.
+    """
+    classes: set[tuple[int, ...]] = set()
+    for d in factorize(n).divisors()[:-1]:
+        classes.update(_canonical_tuple(n, quad, d) for quad in _stripe(n, d))
     return sorted(classes)
 
 
 def naive_minimal_quad_classes(n: int) -> list[tuple[int, ...]]:
     """Reference enumeration: all sorted triples with the fourth element
-    forced, pruned by pair sums, deduplicated by the full orbit scan."""
-    mod = factorize(n)
-    mask = mod.unit_mask()
-    inv = mod.inverse_table()
+    forced, pruned by pair sums, deduplicated by the canonical form."""
     seen: set[tuple[int, ...]] = set()
     for x1 in range(1, n):
         for x2 in range(x1, n):
@@ -237,7 +202,8 @@ def naive_minimal_quad_classes(n: int) -> list[tuple[int, ...]]:
                     continue
                 if (x1 + x3) % n == 0 or (x1 + x4) % n == 0:
                     continue
-                seen.add(_canonical_tuple(n, (x1, x2, x3, x4), mask, inv))
+                quad = (x1, x2, x3, x4)
+                seen.add(_canonical_tuple(n, quad, _min_gcd(n, quad)))
     return sorted(seen)
 
 
@@ -250,16 +216,14 @@ def enumerate_minimal_quads(
     """Stream canonical class representatives in sorted order.
 
     With require_coprime_element the enumeration runs over the
-    normal-form parameter space; otherwise all three class sources are
-    merged.  Pattern filtering implies classification, which skips
-    classes with nontrivial global gcd.
+    normal-form parameter space; otherwise over the divisor stripes of
+    all_minimal_quad_classes.  Pattern filtering implies classification,
+    which skips classes with nontrivial global gcd.
     """
     mod = factorize(n)
     if require_coprime_element:
-        mask = mod.unit_mask()
-        inv = mod.inverse_table()
         tuples = {
-            _canonical_tuple(n, (1, q.c, n - q.b, n - q.a), mask, inv)
+            _canonical_tuple(n, (1, q.c, n - q.b, n - q.a), 1)
             for q in _normal_form_quads(n)
         }
     else:
@@ -343,7 +307,9 @@ def verify_many(
 
     Results are reported through on_result as they complete (single
     caller thread) and returned sorted by n, so the final output does
-    not depend on the worker count.
+    not depend on the worker count.  If a worker process dies, every n
+    it left unfinished is reported as an error instead of aborting the
+    run.
     """
     if jobs is None or jobs < 1:
         jobs = os.cpu_count() or 1
@@ -358,7 +324,10 @@ def verify_many(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(_verify_worker, n): n for n in ns}
             for fut in as_completed(futures):
-                item = fut.result()
+                try:
+                    item = fut.result()
+                except BrokenProcessPool as exc:
+                    item = (futures[fut], None, f"BrokenProcessPool: {exc}")
                 results[item[0]] = item
                 if on_result is not None:
                     on_result(*item)
@@ -424,13 +393,12 @@ def search_high_index(
             continue
         mod = factorize(n)
         mask = mod.unit_mask()
-        inv = mod.inverse_table()
         target = min_index * n
 
         def consider(elems: tuple[int, ...]) -> None:
             num, _ = _index_numerator(n, elems, mask)
             if num >= target:
-                canon = _canonical_tuple(n, elems, mask, inv)
+                canon = _canonical_tuple(n, elems, _min_gcd(n, elems))
                 key = (n, canon)
                 if key not in hits:
                     hits[key] = Counterexample(
@@ -469,13 +437,10 @@ def _reduced_unit_classes(n: int) -> list[tuple[int, ...]]:
     Reducedness is orbit-invariant and cheap, so it is tested on the raw
     stripe tuples first; only survivors are canonicalized.
     """
-    mod = factorize(n)
-    mask = mod.unit_mask()
-    inv = mod.inverse_table()
-    cofactors = tuple(n // p for p in mod.prime_divisors)
+    cofactors = tuple(n // p for p in factorize(n).prime_divisors)
     return sorted({
-        _canonical_tuple(n, quad, mask, inv)
-        for quad in _unit_stripe(n)
+        _canonical_tuple(n, quad, 1)
+        for quad in _stripe(n, 1)
         if _is_reduced_quad_raw(n, quad, cofactors)
     })
 

@@ -114,6 +114,23 @@ def _inverse_table(n: int, prime_divisors: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(pow(r, -1, n) if mask[r] else 0 for r in range(n))
 
 
+@lru_cache(maxsize=64)
+def _lift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Entry r lists the units t of Z_n with t * d * r == d (mod n).
+
+    Those are the lifts of r^-1 mod n // d that are units mod n; the
+    entry is empty unless gcd(r, n // d) == 1, i.e. gcd(d * r, n) == d.
+    """
+    m = n // d
+    mask = factorize(n).unit_mask()
+    return tuple(
+        tuple(t for t in range(pow(r, -1, m), n, m) if mask[t])
+        if math.gcd(r, m) == 1
+        else ()
+        for r in range(m)
+    )
+
+
 @lru_cache(maxsize=4096)
 def factorize(n: int) -> Modulus:
     """Factor n by sieve-driven trial division and wrap it as a Modulus.

@@ -3,12 +3,23 @@ and the resumable verification cache."""
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from zsindex import cli, verifier
 from zsindex.cli import main
+
+_real_verify_worker = verifier._verify_worker
+
+
+def _worker_dying_at_11(n):
+    # module level so that the process pool can pickle it by name
+    if n == 11:
+        os._exit(3)
+    return _real_verify_worker(n)
 
 
 def run_cli(capsys, *argv):
@@ -243,6 +254,44 @@ def test_verify_cache_foreign_digest(tmp_path, capsys):
     )
     assert code == 1
     assert "CacheConfigMismatch" in err
+
+
+def test_verify_cache_schema_change(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "runs.jsonl"
+    args = ("verify", "--min", "5", "--max", "13", "--coprime-to-6",
+            "--jobs", "1", "--cache", str(cache))
+    code, first, _ = run_json(capsys, *args)
+    assert code == 0
+    monkeypatch.setattr(cli, "_CACHE_SCHEMA", cli._CACHE_SCHEMA + 1)
+    code, _, err = run_cli(capsys, *args, "--strict-cache")
+    assert code == 1
+    assert "CacheConfigMismatch" in err
+    code, second, _ = run_json(capsys, *args)
+    assert code == 0
+    assert second["config_digest"] != first["config_digest"]
+    assert not any(row["from_cache"] for row in second["results"])
+
+
+def test_verify_dead_worker_becomes_error_rows(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "runs.jsonl"
+    args = ("verify", "--min", "5", "--max", "16", "--jobs", "2",
+            "--cache", str(cache))
+    monkeypatch.setattr(verifier, "_verify_worker", _worker_dying_at_11)
+    code, first, err = run_json(capsys, *args)
+    assert code == 1
+    assert "BrokenProcessPool" in err
+    rows = {row["n"]: row for row in first["results"]}
+    assert sorted(rows) == list(range(5, 17))
+    assert rows[11]["status"] == "error"
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert sorted(r["n"] for r in records) == list(range(5, 17))
+    # a rerun reuses the finished rows and recomputes the failed ones
+    monkeypatch.undo()
+    code, second, _ = run_json(capsys, *args)
+    assert code == 2
+    for row in second["results"]:
+        assert row["status"] in ("verified", "counterexample")
+        assert row["from_cache"] == (rows[row["n"]]["status"] != "error")
 
 
 def test_search_exit_codes(capsys):

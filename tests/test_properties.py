@@ -74,6 +74,18 @@ def test_canonical_enumeration_matches_naive_all_n_60():
             assert validate_theorem21(n).qualifying_count == qualifying, n
 
 
+def test_canonical_enumeration_matches_naive_composites():
+    # composites with several divisor stripes, past the exhaustive range
+    for n in (105, 125, 165, 195, 231):
+        fast = all_minimal_quad_classes(n)
+        assert fast == naive_minimal_quad_classes(n), n
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        for elems in fast:
+            assert elems == min(
+                tuple(sorted(u * x % n for x in elems)) for u in units
+            ), (n, elems)
+
+
 def test_interval_arithmetic_randomized():
     rng = random.Random(2718281)
     for _ in range(1_000):
