@@ -20,6 +20,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .sequences import GroupSequence, is_minimal_zero_sum
+from .zncore import _lift_table
 
 
 class Pattern(Enum):
@@ -56,8 +57,10 @@ class NormalizedQuad:
     """Parameters (a, b, c) of a quad in normal form over Z_n.
 
     The denormalized sequence is [1, c, n-b, n-a]; provenance records
-    the unit multiplier and whether the orbit was reflected (x -> n-x)
-    before scaling.
+    the unit multiplier.  reflected says whether the orbit was reflected
+    (x -> n-x) before scaling; normalize_quad always sets it to False,
+    because reflection is scaling by the unit -1, which the multiplier
+    already covers.
     """
 
     n: int
@@ -116,26 +119,23 @@ def _shape_of(n: int, sorted_elems: tuple[int, ...]) -> tuple[int, int, int] | N
 def normalize_quad(seq: GroupSequence) -> NormalizedQuad | None:
     """Search the orbit of a quad for a normal form.
 
-    Candidate multipliers are inverses of unit elements, applied to the
-    quad itself and then to its reflection; the first match wins (the
-    unreflected candidates are scanned first, each group by increasing
-    t).  Returns None when no orbit member has the normal-form shape.
+    A normal form starts with 1, so the candidate multipliers are the
+    inverses of the unit elements, scanned by increasing t; the first
+    match wins, so unit is the least multiplier that gives the shape.
+    Returns None when no orbit member has the normal-form shape.
     """
     n = seq.n
     if seq.k != 4 or not is_minimal_zero_sum(seq):
         raise PreconditionViolated("normalization needs a minimal zero-sum quad")
-    mask = seq.modulus.unit_mask()
-    inv = seq.modulus.inverse_table()
-    if not any(mask[x] for x in seq.elems):
+    lifts = _lift_table(n, 1)
+    candidates = sorted({t for x in seq.elems for t in lifts[x]})
+    if not candidates:
         raise NoCoprimeElement(f"no element of {seq.elems} is a unit mod {n}")
-    for reflected in (False, True):
-        elems = seq.elems if not reflected else tuple(n - x for x in seq.elems)
-        for t in sorted({inv[x] for x in elems if mask[x]}):
-            cand = tuple(sorted(t * x % n for x in elems))
-            shape = _shape_of(n, cand)
-            if shape is not None:
-                a, b, c = shape
-                return NormalizedQuad(n=n, a=a, b=b, c=c, unit=t, reflected=reflected)
+    for t in candidates:
+        shape = _shape_of(n, tuple(sorted(t * x % n for x in seq.elems)))
+        if shape is not None:
+            a, b, c = shape
+            return NormalizedQuad(n=n, a=a, b=b, c=c, unit=t)
     return None
 
 

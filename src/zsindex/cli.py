@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -40,6 +40,7 @@ from .lemmas import (
 )
 from .sequences import GroupSequence, index_of
 from .verifier import (
+    Counterexample,
     enumerate_minimal_quads,
     search_high_index,
     validate_lemmas,
@@ -54,7 +55,9 @@ _FORMATS = ("json", "csv", "text")
 # changes (the record fields, or what verify_conjecture counts as a
 # class) so that rows written under the old meaning are recomputed.
 _CACHE_SCHEMA = 1
-_CSV_COLUMNS = ("n", "status", "class_count", "max_index", "elapsed_ms", "from_cache")
+# The fields of a verify row that a cache line stores.
+_ROW_FIELDS = ("n", "status", "class_count", "max_index", "elapsed_ms")
+_CSV_COLUMNS = _ROW_FIELDS + ("from_cache",)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,19 +65,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class CacheRecord:
-    """One append-only line of the verification cache."""
-
-    n: int
-    status: str
-    class_count: int | None
-    max_index: int | None
-    elapsed_ms: int | None
-    version: str
-    config_digest: str
 
 
 def _build_parser() -> _Parser:
@@ -178,15 +168,27 @@ def _cex_payload(cex) -> dict:
     }
 
 
+def _jsonable(obj):
+    """json.dumps fallback: a counterexample as its report row, any other
+    dataclass as its fields in declaration order (not recursively, as
+    asdict would, so nested counterexamples come back here), else str."""
+    if isinstance(obj, Counterexample):
+        return _cex_payload(obj)
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return str(obj)
+
+
 def _emit(payload, args, text_lines=None, csv_rows=None) -> None:
     """Render the report in the requested format to --output or stdout.
 
     csv_rows (header first) is given only by commands that support csv.
     """
     if args.format == "json":
-        rendered = json.dumps(payload, indent=2, default=str) + "\n"
+        rendered = json.dumps(payload, indent=2, default=_jsonable) + "\n"
     elif args.format == "text":
-        rendered = "\n".join(text_lines or [json.dumps(payload, default=str)]) + "\n"
+        lines = text_lines or [json.dumps(payload, default=_jsonable)]
+        rendered = "\n".join(lines) + "\n"
     elif csv_rows is not None:
         buf = io.StringIO()
         csv.writer(buf).writerows(csv_rows)
@@ -228,7 +230,9 @@ def _load_cache(path: str, digest: str, strict: bool) -> dict[int, dict]:
     A corrupt trailing line (crash during append) is cut off the file
     with a warning, by truncating at its first byte so the lines before
     it are never rewritten; corrupt interior lines are skipped in memory
-    only.  Error records are never reused, so failed n values rerun.
+    only.  Error records are never reused, so failed n values rerun; a
+    line that is not a record with an integer n and a verified or
+    counterexample status is reported as malformed and its n reruns.
     """
     if not os.path.exists(path):
         return {}
@@ -254,18 +258,20 @@ def _load_cache(path: str, digest: str, strict: bool) -> dict[int, dict]:
                     f"warning: skipping corrupt cache line {i + 1}", file=sys.stderr
                 )
             continue
-        if rec.get("config_digest") != digest:
+        if isinstance(rec, dict) and rec.get("config_digest") != digest:
             if strict:
                 raise CacheConfigMismatch(
                     f"cache line {i + 1} was written under config "
                     f"{rec.get('config_digest')!r}, current is {digest!r}"
                 )
             continue
-        if rec.get("status") == "error":
-            continue
         try:
-            records[int(rec["n"])] = rec
-        except (KeyError, TypeError, ValueError):
+            n, status = int(rec["n"]), rec["status"]
+        except (KeyError, TypeError, ValueError, OverflowError):
+            status = None
+        if status in ("verified", "counterexample"):
+            records[n] = {**rec, "n": n}
+        elif status != "error":
             print(f"warning: malformed cache record on line {i + 1}", file=sys.stderr)
     if truncate_at is not None:
         os.truncate(path, sum(len(raw) for raw in lines[:truncate_at]))
@@ -434,33 +440,19 @@ def cmd_verify(args) -> int:
     cached = (
         _load_cache(args.cache, digest, args.strict_cache) if args.cache else {}
     )
-    rows: dict[int, dict] = {}
-    for n in ns:
-        rec = cached.get(n)
-        if rec is not None:
-            rows[n] = {
-                "n": n,
-                "status": rec["status"],
-                "class_count": rec.get("class_count"),
-                "max_index": rec.get("max_index"),
-                "elapsed_ms": rec.get("elapsed_ms"),
-                "from_cache": True,
-            }
+    rows = {
+        n: {**{f: cached[n].get(f) for f in _ROW_FIELDS}, "from_cache": True}
+        for n in ns
+        if n in cached
+    }
     remaining = [n for n in ns if n not in rows]
     cache_fh = open(args.cache, "a", encoding="utf-8") if args.cache else None
 
     def on_result(n, report, error):
         if error is not None:
             print(f"warning: n={n} failed: {error}", file=sys.stderr)
-            row = {
-                "n": n,
-                "status": "error",
-                "class_count": None,
-                "max_index": None,
-                "elapsed_ms": None,
-                "from_cache": False,
-                "detail": error,
-            }
+            row = dict.fromkeys(_ROW_FIELDS)
+            row.update(n=n, status="error", from_cache=False, detail=error)
         else:
             row = {
                 "n": n,
@@ -471,21 +463,12 @@ def cmd_verify(args) -> int:
                 "from_cache": False,
             }
             if report.counterexamples:
-                row["counterexamples"] = [
-                    _cex_payload(c) for c in report.counterexamples
-                ]
+                row["counterexamples"] = report.counterexamples
         rows[n] = row
         if cache_fh is not None:
-            record = CacheRecord(
-                n=n,
-                status=row["status"],
-                class_count=row["class_count"],
-                max_index=row["max_index"],
-                elapsed_ms=row["elapsed_ms"],
-                version=__version__,
-                config_digest=digest,
-            )
-            cache_fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
+            record = {f: row[f] for f in _ROW_FIELDS}
+            record.update(version=__version__, config_digest=digest)
+            cache_fh.write(json.dumps(record, sort_keys=True) + "\n")
             cache_fh.flush()
 
     try:
@@ -541,7 +524,7 @@ def cmd_search(args) -> int:
         "min_index": args.min_index,
         "mode": args.mode,
         "count": len(hits),
-        "hits": [_cex_payload(h) for h in hits],
+        "hits": hits,
     }
     lines = [
         f"n={h.n} class={','.join(map(str, h.elems))} index={_frac(h.index_value)}"
@@ -551,53 +534,12 @@ def cmd_search(args) -> int:
     return 2 if hits else 0
 
 
-def _theorem21_payload(report) -> dict:
-    return {
-        "n": report.n,
-        "prime_count": report.prime_count,
-        "qualifying_count": report.qualifying_count,
-        "census": report.census,
-        "a3_without_normal_form": report.a3_without_normal_form,
-        "anomalies": [_cex_payload(c) for c in report.anomalies],
-        "vacuous": report.vacuous,
-        "elapsed": report.elapsed,
-    }
-
-
-def _lemma_sweep_payload(report) -> dict:
-    return {
-        "n": report.n,
-        "quad_count": report.quad_count,
-        "fired": report.fired,
-        "violations": {
-            key: [_cex_payload(c) for c in value]
-            for key, value in report.violations.items()
-        },
-        "findings_34": [_cex_payload(c) for c in report.findings_34],
-        "probe_s_violations": [list(v) for v in report.probe_s_violations],
-        "probe_k1_violations": [list(v) for v in report.probe_k1_violations],
-        "k1_undefined": report.k1_undefined,
-        "vacuous": report.vacuous,
-        "elapsed": report.elapsed,
-    }
-
-
 def cmd_validate(args) -> int:
     if args.target == "remark32":
         if args.min is None or args.max is None:
             raise UsageError("remark32 needs --min and --max")
         report = validate_remark32(args.min, args.max)
-        payload = {
-            "target": "remark32",
-            "lo": report.lo,
-            "hi": report.hi,
-            "checked_moduli": list(report.checked_moduli),
-            "qualifying_count": report.qualifying_count,
-            "census": report.census,
-            "violations": [_cex_payload(c) for c in report.violations],
-            "vacuous_moduli": list(report.vacuous_moduli),
-            "elapsed": report.elapsed,
-        }
+        payload = {"target": "remark32", **_jsonable(report)}
         anomalies = len(report.violations)
         lines = [
             f"moduli={len(report.checked_moduli)} qualifying="
@@ -622,24 +564,24 @@ def cmd_validate(args) -> int:
                 if not mod.is_squarefree or len(mod.prime_divisors) not in (3, 4):
                     continue
             report = validate_theorem21(n)
-            reports.append(_theorem21_payload(report))
+            reports.append(report)
             anomalies += len(report.anomalies)
         lines = [
-            f"n={r['n']} qualifying={r['qualifying_count']} census={r['census']} "
-            f"anomalies={len(r['anomalies'])}"
+            f"n={r.n} qualifying={r.qualifying_count} census={r.census} "
+            f"anomalies={len(r.anomalies)}"
             for r in reports
         ]
     else:
         for n in ns:
             report = validate_lemmas(n)
-            reports.append(_lemma_sweep_payload(report))
+            reports.append(report)
             anomalies += sum(len(v) for v in report.violations.values())
             anomalies += len(report.probe_s_violations)
             anomalies += len(report.probe_k1_violations)
         lines = [
-            f"n={r['n']} quads={r['quad_count']} fired={r['fired']} "
-            f"violations={ {k: len(v) for k, v in r['violations'].items()} } "
-            f"findings_34={len(r['findings_34'])}"
+            f"n={r.n} quads={r.quad_count} fired={r.fired} "
+            f"violations={ {k: len(v) for k, v in r.violations.items()} } "
+            f"findings_34={len(r.findings_34)}"
             for r in reports
         ]
     payload = {"target": args.target, "anomaly_count": anomalies, "reports": reports}

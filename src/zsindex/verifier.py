@@ -7,7 +7,9 @@ smallest) member of a class starts with d = min gcd(x, n) over its
 elements.  Sweeping the sorted quads (d, y2, y3, y4) whose elements all
 have gcd >= d, for each proper divisor d of n, therefore meets every
 class, and canonicalising them needs only the units that map an element
-of gcd d to d.
+of gcd d to d.  A class's canonical member lies in exactly one stripe,
+so keeping the stripe tuples that are their own canonical form yields
+each class once, in sorted order, with no set to deduplicate.
 
 A slower single-loop reference enumeration over all sorted triples with
 the fourth element forced is kept for cross-checking the stripe.
@@ -128,9 +130,9 @@ class Remark32Report:
     hi: int
     checked_moduli: tuple[int, ...]
     qualifying_count: int
+    census: dict[str, int]
     violations: tuple[Counterexample, ...]
     vacuous_moduli: tuple[int, ...]
-    census: dict[str, int]
     elapsed: float
 
 
@@ -160,7 +162,9 @@ def _stripe(n: int, d: int) -> Iterator[tuple[int, int, int, int]]:
     the first element vanishes).  A residue y above n - d has
     gcd(y, n) <= n - y < d, so every element is at most n - d - 1, the
     integer total is n or 2n, and for each total the y3 range is the one
-    where y3 <= y4 <= n - d - 1.
+    where y3 <= y4 <= n - d - 1.  The tuples come in lexicographic order:
+    for a fixed y2, every y3 of total n is at most (n - d - y2) / 2, below
+    n - y2 + 1, the least y3 of total 2n.
     """
     top = n - d - 1
     allowed = None if d == 1 else bytes(math.gcd(y, n) >= d for y in range(n))
@@ -179,13 +183,17 @@ def all_minimal_quad_classes(n: int) -> list[tuple[int, ...]]:
     class over Z_n, including classes with nontrivial global gcd.
 
     The canonical representative of a class starts with d, the least
-    gcd(x, n) over its elements, so the stripes over the proper
-    divisors d of n meet every class, each class in exactly one stripe.
+    gcd(x, n) over its elements, so it lies in the stripe of d and in no
+    other.  Keeping the stripe tuples that are their own canonical form
+    yields each class once, in order: the stripes run by increasing d
+    and each yields its tuples in lexicographic order.
     """
-    classes: set[tuple[int, ...]] = set()
-    for d in factorize(n).divisors()[:-1]:
-        classes.update(_canonical_tuple(n, quad, d) for quad in _stripe(n, d))
-    return sorted(classes)
+    return [
+        quad
+        for d in factorize(n).divisors()[:-1]
+        for quad in _stripe(n, d)
+        if _canonical_tuple(n, quad, d) == quad
+    ]
 
 
 def naive_minimal_quad_classes(n: int) -> list[tuple[int, ...]]:
@@ -222,13 +230,13 @@ def enumerate_minimal_quads(
     """
     mod = factorize(n)
     if require_coprime_element:
-        tuples = {
+        tuples = sorted({
             _canonical_tuple(n, (1, q.c, n - q.b, n - q.a), 1)
             for q in _normal_form_quads(n)
-        }
+        })
     else:
-        tuples = set(all_minimal_quad_classes(n))
-    for elems in sorted(tuples):
+        tuples = all_minimal_quad_classes(n)
+    for elems in tuples:
         seq = GroupSequence(mod, elems)
         if require_reduced and not is_reduced(seq):
             continue
@@ -435,14 +443,16 @@ def _reduced_unit_classes(n: int) -> list[tuple[int, ...]]:
     """Canonical reduced classes that contain a unit element.
 
     Reducedness is orbit-invariant and cheap, so it is tested on the raw
-    stripe tuples first; only survivors are canonicalized.
+    stripe tuples first; only survivors are canonicalized, and each class
+    is kept once, in order, as in all_minimal_quad_classes.
     """
     cofactors = tuple(n // p for p in factorize(n).prime_divisors)
-    return sorted({
-        _canonical_tuple(n, quad, 1)
+    return [
+        quad
         for quad in _stripe(n, 1)
         if _is_reduced_quad_raw(n, quad, cofactors)
-    })
+        and _canonical_tuple(n, quad, 1) == quad
+    ]
 
 
 def validate_theorem21(n: int) -> Theorem21Report:
@@ -658,8 +668,8 @@ def validate_remark32(lo: int, hi: int) -> Remark32Report:
         hi=hi,
         checked_moduli=tuple(moduli),
         qualifying_count=qualifying,
+        census=dict(census),
         violations=tuple(violations),
         vacuous_moduli=tuple(vacuous),
-        census=dict(census),
         elapsed=time.perf_counter() - t0,
     )

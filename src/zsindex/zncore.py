@@ -89,7 +89,7 @@ class Modulus:
 
     def inverse_table(self) -> tuple[int, ...]:
         """Entry r is the inverse of r mod n for units, 0 otherwise."""
-        return _inverse_table(self.n, self.prime_divisors)
+        return tuple(lift[0] if lift else 0 for lift in _lift_table(self.n, 1))
 
     def divisors(self) -> tuple[int, ...]:
         """All positive divisors of n in increasing order."""
@@ -106,12 +106,6 @@ def _unit_mask(n: int, prime_divisors: tuple[int, ...]) -> bytes:
     for p in prime_divisors:
         mask[0::p] = bytes(len(range(0, n, p)))
     return bytes(mask)
-
-
-@lru_cache(maxsize=512)
-def _inverse_table(n: int, prime_divisors: tuple[int, ...]) -> tuple[int, ...]:
-    mask = _unit_mask(n, prime_divisors)
-    return tuple(pow(r, -1, n) if mask[r] else 0 for r in range(n))
 
 
 @lru_cache(maxsize=64)

@@ -234,6 +234,27 @@ def test_verify_cache_corrupt_trailing_line(tmp_path, capsys):
     assert cache.read_bytes() == kept
 
 
+def test_verify_cache_unusable_records(tmp_path, capsys):
+    # well-formed JSON that is not a reusable record is reported and its
+    # n recomputed, not reused or fatal
+    cache = tmp_path / "runs.jsonl"
+    args = ("verify", "--min", "5", "--max", "7", "--coprime-to-6",
+            "--jobs", "1", "--cache", str(cache))
+    code, _, _ = run_json(capsys, *args)
+    assert code == 0
+    record = json.loads(cache.read_text().splitlines()[-1])
+    assert record["n"] == 7
+    del record["status"]
+    cache.write_text(json.dumps([1, 2]) + "\n" + json.dumps(record) + "\n")
+    code, second, err = run_json(capsys, *args)
+    assert code == 0
+    assert "malformed cache record on line 1" in err
+    assert "malformed cache record on line 2" in err
+    rows = {row["n"]: row for row in second["results"]}
+    assert rows[7]["from_cache"] is False
+    assert rows[7]["status"] == "verified"
+
+
 def test_verify_cache_foreign_digest(tmp_path, capsys):
     cache = tmp_path / "runs.jsonl"
     foreign = {
@@ -315,6 +336,11 @@ def test_validate_theorem21_cli(capsys):
     )
     assert code == 0
     report = payload["reports"][0]
+    assert list(payload) == ["target", "anomaly_count", "reports"]
+    assert list(report) == [
+        "n", "prime_count", "qualifying_count", "census",
+        "a3_without_normal_form", "anomalies", "vacuous", "elapsed",
+    ]
     assert report["qualifying_count"] == 5
     assert report["census"] == {"A2": 3, "A3": 1, "A4": 1}
     assert payload["anomaly_count"] == 0
@@ -329,7 +355,18 @@ def test_validate_lemmas_cli(capsys):
     code, payload, _ = run_json(capsys, "validate", "--target", "lemmas", "--n", "10")
     assert code == 2
     assert payload["anomaly_count"] == 1
-    assert len(payload["reports"][0]["findings_34"]) == 1
+    report = payload["reports"][0]
+    assert list(report) == [
+        "n", "quad_count", "fired", "violations", "findings_34",
+        "probe_s_violations", "probe_k1_violations", "k1_undefined",
+        "vacuous", "elapsed",
+    ]
+    assert len(report["findings_34"]) == 1
+    (violation,) = [c for v in report["violations"].values() for c in v]
+    for cex in (violation, report["findings_34"][0]):
+        assert list(cex) == ["n", "class", "index", "context", "detail"]
+    assert violation["class"] == [1, 3, 8, 8]
+    assert violation["index"] == 2
 
 
 def test_validate_remark32_cli(capsys):
@@ -337,6 +374,11 @@ def test_validate_remark32_cli(capsys):
         capsys, "validate", "--target", "remark32", "--min", "380", "--max", "390"
     )
     assert code == 0
+    assert list(payload) == [
+        "target", "lo", "hi", "checked_moduli", "qualifying_count", "census",
+        "violations", "vacuous_moduli", "elapsed",
+    ]
+    assert payload["target"] == "remark32"
     assert payload["qualifying_count"] == 0
     assert payload["vacuous_moduli"] == [385]
 

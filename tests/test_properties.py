@@ -8,6 +8,7 @@ from fractions import Fraction
 from zsindex import (
     GroupSequence,
     IntervalQ,
+    NormalizedQuad,
     all_minimal_quad_classes,
     canonical_rep,
     enumerate_minimal_quads,
@@ -54,9 +55,23 @@ def test_integrality_iff_zero_sum():
         assert seq_norm(s, r.witness_t) == r.value
 
 
+def _brute_normal_form(seq):
+    # the least unit t over all units whose sorted image reads
+    # [1, c, n-b, n-a] with 1 + c = a + b, 2 <= a <= b, 1 < c and b, c < n/2
+    n = seq.n
+    for t in range(1, n):
+        if math.gcd(t, n) != 1:
+            continue
+        e1, c, nb, na = sorted(t * x % n for x in seq.elems)
+        a, b = n - na, n - nb
+        if e1 == 1 and 1 + c == a + b and 2 <= a <= b and 1 < c and 2 * max(b, c) < n:
+            return NormalizedQuad(n, a, b, c, unit=t, reflected=False)
+    return None
+
+
 def test_canonical_enumeration_matches_naive_all_n_60():
     for n in range(5, 61):
-        fast = sorted(all_minimal_quad_classes(n))
+        fast = all_minimal_quad_classes(n)
         naive = sorted(naive_minimal_quad_classes(n))
         assert fast == naive, n
         # the paths that share the canonical form and the unit stripe
@@ -65,9 +80,11 @@ def test_canonical_enumeration_matches_naive_all_n_60():
         seqs = [GroupSequence(mod, elems) for elems in naive]
         assert verify_conjecture(n).reduced_count == sum(map(is_reduced, seqs)), n
         with_unit = [s for s in seqs if any(math.gcd(x, n) == 1 for x in s.elems)]
+        forms = [normalize_quad(s) for s in with_unit]
+        assert forms == [_brute_normal_form(s) for s in with_unit], n
         coprime = enumerate_minimal_quads(n, require_coprime_element=True)
         assert [s.elems for s in coprime] == [
-            s.elems for s in with_unit if normalize_quad(s) is not None
+            s.elems for s, form in zip(with_unit, forms) if form is not None
         ], n
         if n in (30, 42):
             qualifying = sum(map(is_reduced, with_unit))
