@@ -36,7 +36,8 @@ class PatternClass:
     """A matched pattern plus the prime-role assignment that matched.
 
     prime_roles lists which prime of n plays each of the three named
-    roles, in role order; it is None for Other.
+    roles, in role order; it is None for Other and for the bare A3
+    statement of _match_gcd_pattern.
     """
 
     pattern: Pattern
@@ -79,6 +80,11 @@ class NormalizedQuad:
         if not (2 * b < n and 1 < c and 2 * c < n):
             raise InvariantViolated("normal form requires b, c in (1, n/2)")
 
+    @property
+    def elems(self) -> tuple[int, int, int, int]:
+        """The denormalized quad (1, c, n-b, n-a), sorted."""
+        return (1, self.c, self.n - self.b, self.n - self.a)
+
 
 def _normal_form_quads(n: int) -> Iterator[NormalizedQuad]:
     """Every parameter triple of the normal form over Z_n, by c then b.
@@ -93,8 +99,7 @@ def _normal_form_quads(n: int) -> Iterator[NormalizedQuad]:
 
 def denormalize(quad: NormalizedQuad) -> GroupSequence:
     """The sorted quad [1, c, n-b, n-a] as a sequence over Z_n."""
-    n = quad.n
-    return GroupSequence.of(n, (1, quad.c, n - quad.b, n - quad.a))
+    return GroupSequence.of(quad.n, quad.elems)
 
 
 def gcd_profile(seq: GroupSequence) -> GcdProfile:
@@ -106,23 +111,16 @@ def gcd_profile(seq: GroupSequence) -> GcdProfile:
     return GcdProfile(gcds=gcds, active_primes=active, global_gcd=global_gcd)
 
 
-def _shape_of(n: int, sorted_elems: tuple[int, ...]) -> tuple[int, int, int] | None:
-    """(a, b, c) if the sorted residues match the normal form, else None."""
-    e1, e2, e3, e4 = sorted_elems
-    if e1 != 1 or e2 <= 1 or 2 * e2 >= n or 2 * e3 <= n or e4 >= n - 1:
-        return None
-    if e1 + e2 + e3 + e4 != 2 * n:
-        return None
-    return n - e4, n - e3, e2
-
-
 def normalize_quad(seq: GroupSequence) -> NormalizedQuad | None:
     """Search the orbit of a quad for a normal form.
 
     A normal form starts with 1, so the candidate multipliers are the
-    inverses of the unit elements, scanned by increasing t; the first
-    match wins, so unit is the least multiplier that gives the shape.
-    Returns None when no orbit member has the normal-form shape.
+    inverses of the unit elements, scanned by increasing t.  Each maps a
+    unit element to 1, the least residue, so the sorted image (1, e2, e3,
+    e4) is in normal form exactly when NormalizedQuad(n, n-e4, n-e3, e2)
+    meets its invariants.  The first such t wins, so unit is the least
+    multiplier that gives the shape.  Returns None when no orbit member
+    has the normal-form shape.
     """
     n = seq.n
     if seq.k != 4 or not is_minimal_zero_sum(seq):
@@ -132,19 +130,24 @@ def normalize_quad(seq: GroupSequence) -> NormalizedQuad | None:
     if not candidates:
         raise NoCoprimeElement(f"no element of {seq.elems} is a unit mod {n}")
     for t in candidates:
-        shape = _shape_of(n, tuple(sorted(t * x % n for x in seq.elems)))
-        if shape is not None:
-            a, b, c = shape
-            return NormalizedQuad(n=n, a=a, b=b, c=c, unit=t)
+        _, e2, e3, e4 = sorted(t * x % n for x in seq.elems)
+        try:
+            return NormalizedQuad(n, n - e4, n - e3, e2, unit=t)
+        except InvariantViolated:
+            continue
     return None
 
 
 def _match_gcd_pattern(multiset: list[int], primes: tuple[int, ...]) -> PatternClass:
-    """A1, A2 or A4 for a sorted gcd multiset that is not all ones, else Other.
+    """The statement A1..A4 that a sorted gcd multiset meets, else Other.
 
     primes are the three prime divisors of a squarefree n; the roles are
-    those of the first prime assignment that matches.
+    those of the first prime assignment that matches.  A3 is the bare
+    statement "all gcds 1", with no roles: classify_pattern refines it
+    through the normal form.
     """
+    if multiset == [1, 1, 1, 1]:
+        return PatternClass(Pattern.A3)
     if multiset[0] != 1:
         for q1, q2, q3 in permutations(primes):
             if multiset == sorted((q1 * q2, q2, q1 * q3, q3)):
@@ -177,9 +180,9 @@ def classify_pattern(seq: GroupSequence) -> PatternClass:
     primes = mod.prime_divisors
     if len(primes) != 3 or not mod.is_squarefree:
         return PatternClass(Pattern.OTHER)
-    multiset = sorted(profile.gcds)
-    if multiset != [1, 1, 1, 1]:
-        return _match_gcd_pattern(multiset, primes)
+    cls = _match_gcd_pattern(sorted(profile.gcds), primes)
+    if cls.pattern is not Pattern.A3:
+        return cls
     quad = normalize_quad(seq)
     if quad is None:
         return PatternClass(Pattern.OTHER)

@@ -28,16 +28,7 @@ from .classify import (
     normalize_quad,
 )
 from .errors import CacheConfigMismatch, UsageError, ZsIndexError
-from .lemmas import (
-    assumption_b,
-    compute_k1,
-    compute_s,
-    lemma33_cond1,
-    lemma33_cond2,
-    lemma34_cond,
-    lemma35_cond,
-    omega_build,
-)
+from .lemmas import _conditions, assumption_b, compute_k1, compute_s, omega_build
 from .sequences import GroupSequence, index_of
 from .verifier import (
     Counterexample,
@@ -218,9 +209,9 @@ def _resolve_jobs(requested: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _config_digest(command: str, semantic: dict) -> str:
-    fields = {"command": command, "schema": _CACHE_SCHEMA, "version": __version__}
-    blob = json.dumps({**fields, **semantic}, sort_keys=True)
+def _config_digest() -> str:
+    fields = {"command": "verify", "schema": _CACHE_SCHEMA, "version": __version__}
+    blob = json.dumps(fields, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -353,15 +344,8 @@ def cmd_normalize(args) -> int:
 
 def cmd_lemma(args) -> int:
     quad = NormalizedQuad(args.n, args.a, args.b, args.c)
-    outcomes = [
-        lemma33_cond1(quad),
-        lemma33_cond2(quad),
-        lemma34_cond(quad),
-    ]
-    s = compute_s(quad)
-    structure: dict = {"s": s, "assumption_b": assumption_b(quad)}
-    if s >= 2:
-        outcomes.append(lemma35_cond(quad))
+    outcomes = _conditions(quad)
+    structure: dict = {"s": compute_s(quad), "assumption_b": assumption_b(quad)}
     try:
         structure["k1"] = compute_k1(quad)
     except ZsIndexError as exc:
@@ -431,7 +415,7 @@ def cmd_verify(args) -> int:
     if args.min < 2 or args.min > args.max:
         raise UsageError("need 2 <= --min <= --max")
     jobs = _resolve_jobs(args.jobs)
-    digest = _config_digest("verify", {})
+    digest = _config_digest()
     ns = [
         n
         for n in range(args.min, args.max + 1)

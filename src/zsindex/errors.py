@@ -15,6 +15,10 @@ class LengthTooLarge(ZsIndexError):
     """Raised when a subset-enumeration guard (k <= 24) is exceeded."""
 
 
+class ModulusOutOfRange(ZsIndexError, ValueError):
+    """Raised when a modulus lies outside [2, 2^31]."""
+
+
 class NotAPrimeDivisor(ZsIndexError):
     """Raised when a scaling prime does not divide the modulus."""
 

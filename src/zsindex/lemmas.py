@@ -159,6 +159,15 @@ def lemma35_cond(quad: NormalizedQuad) -> LemmaOutcome:
     return LemmaOutcome("35", False)
 
 
+def _conditions(quad: NormalizedQuad) -> list[LemmaOutcome]:
+    """The outcomes of the conditions that apply to a normal form: 33.1,
+    33.2 and 34 always, 35 when s >= 2."""
+    outcomes = [lemma33_cond1(quad), lemma33_cond2(quad), lemma34_cond(quad)]
+    if compute_s(quad) >= 2:
+        outcomes.append(lemma35_cond(quad))
+    return outcomes
+
+
 def assumption_b(quad: NormalizedQuad) -> bool:
     """True when no admissible t yields a coprime integer in the t-th
     interval of omega_build; vacuously true when s < 2."""

@@ -36,15 +36,7 @@ from .classify import (
     normalize_quad,
 )
 from .errors import CeilMismatch, InvariantViolated, PreconditionViolated
-from .lemmas import (
-    compute_k1,
-    compute_s,
-    lemma33_cond1,
-    lemma33_cond2,
-    lemma34_cond,
-    lemma35_cond,
-    remark32_check,
-)
+from .lemmas import _conditions, compute_k1, compute_s, remark32_check
 from .sequences import (
     GroupSequence,
     _canonical_tuple,
@@ -231,8 +223,7 @@ def enumerate_minimal_quads(
     mod = factorize(n)
     if require_coprime_element:
         tuples = sorted({
-            _canonical_tuple(n, (1, q.c, n - q.b, n - q.a), 1)
-            for q in _normal_form_quads(n)
+            _canonical_tuple(n, q.elems, 1) for q in _normal_form_quads(n)
         })
     else:
         tuples = all_minimal_quad_classes(n)
@@ -490,10 +481,7 @@ def validate_theorem21(n: int) -> Theorem21Report:
             )
             continue
         gcds = sorted(math.gcd(x, n) for x in elems)
-        if gcds == [1, 1, 1, 1]:
-            pattern = Pattern.A3
-        else:
-            pattern = _match_gcd_pattern(gcds, primes).pattern
+        pattern = _match_gcd_pattern(gcds, primes).pattern
         if pattern is Pattern.OTHER:
             num, _ = _index_numerator(n, elems, mask)
             anomalies.append(
@@ -524,7 +512,8 @@ def validate_theorem21(n: int) -> Theorem21Report:
 
 
 def validate_lemmas(n: int) -> LemmaSweepReport:
-    """Sweep every normalized quad over Z_n through the four conditions.
+    """Sweep every normalized quad over Z_n through the conditions that
+    apply to it (lemmas._conditions).
 
     A condition firing while the oracle index exceeds 1 is recorded as a
     violation (as a finding for the condition with the suspect final
@@ -547,24 +536,17 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
     for quad in _normal_form_quads(n):
         a, b, c = quad.a, quad.b, quad.c
         quad_count += 1
-        elems = (1, c, n - b, n - a)
+        elems = quad.elems
         num, _ = _index_numerator(n, elems, mask)
         value = num // n
-        outcomes = [
-            ("33.1", lemma33_cond1(quad)),
-            ("33.2", lemma33_cond2(quad)),
-            ("34", lemma34_cond(quad)),
-        ]
         s = compute_s(quad)
-        fired_35 = False
-        if s >= 2:
-            s_applicable += 1
-            o35 = lemma35_cond(quad)
-            fired_35 = o35.fired
-            outcomes.append(("35", o35))
-        for name, outcome in outcomes:
+        s_applicable += s >= 2
+        fired_ids = set()
+        for outcome in _conditions(quad):
             if not outcome.fired:
                 continue
+            name = outcome.lemma_id
+            fired_ids.add(name)
             fired[name] += 1
             if value == 1:
                 continue
@@ -579,7 +561,7 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
                 findings_34.append(record)
             else:
                 violations[name].append(record)
-        if probes_on and (s < 2 or not fired_35):
+        if probes_on and "35" not in fired_ids:
             if s > 9:
                 probe_s.append((n, a, b, c))
             try:
@@ -611,7 +593,7 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
 def three_prime_moduli(lo: int, hi: int, coprime_to_6: bool = True) -> list[int]:
     """Moduli in (lo, hi] that are products of three distinct primes."""
     out = []
-    for n in range(lo + 1, hi + 1):
+    for n in range(max(lo + 1, 2), hi + 1):
         mod = factorize(n)
         if not mod.is_squarefree or len(mod.prime_divisors) != 3:
             continue

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotAUnit
+from .errors import ModulusOutOfRange, NotAUnit
 
 MAX_MODULUS = 2**31
 
@@ -49,7 +49,7 @@ class Modulus:
 
     def __post_init__(self) -> None:
         if not 2 <= self.n <= MAX_MODULUS:
-            raise ValueError(f"modulus must be in [2, 2^31], got {self.n}")
+            raise ModulusOutOfRange(f"modulus must be in [2, 2^31], got {self.n}")
         prod = 1
         for p, mult in self.factors:
             prod *= p**mult
@@ -127,14 +127,9 @@ def _lift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=4096)
 def factorize(n: int) -> Modulus:
-    """Factor n by sieve-driven trial division and wrap it as a Modulus.
-
-    Rejects n <= 1 and n > 2^31.
+    """Factor n by sieve-driven trial division and wrap it as a Modulus,
+    which rejects n outside [2, 2^31] with ModulusOutOfRange.
     """
-    if n <= 1:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    if n > MAX_MODULUS:
-        raise ValueError(f"modulus must be <= 2^31, got {n}")
     remaining = n
     factors: list[tuple[int, int]] = []
     for p in _sieve_primes():

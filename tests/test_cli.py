@@ -2,6 +2,7 @@
 and the resumable verification cache."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from zsindex import cli, verifier
+from zsindex import __version__, cli, verifier
 from zsindex.cli import main
 
 _real_verify_worker = verifier._verify_worker
@@ -184,6 +185,16 @@ def test_csv_rejected_elsewhere(capsys):
     )
     assert code == 1
     assert "csv" in err
+
+
+def test_verify_config_digest_pinned(capsys):
+    # a silent change to the digest would invalidate every user's cache
+    code, payload, _ = run_json(capsys, "verify", "--min", "5", "--max", "5", "--jobs", "1")
+    assert code == 0
+    blob = json.dumps(
+        {"command": "verify", "schema": 1, "version": __version__}, sort_keys=True
+    )
+    assert payload["config_digest"] == hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def test_verify_cache_resume(tmp_path, capsys):
@@ -382,6 +393,13 @@ def test_validate_remark32_cli(capsys):
     assert payload["qualifying_count"] == 0
     assert payload["vacuous_moduli"] == [385]
 
+    # a range reaching below 2 holds no moduli instead of failing
+    code, payload, _ = run_json(
+        capsys, "validate", "--target", "remark32", "--min", "0", "--max", "30"
+    )
+    assert code == 0
+    assert payload["checked_moduli"] == []
+
     code, _, err = run_cli(capsys, "validate", "--target", "remark32", "--n", "385")
     assert code == 1
     assert "remark32" in err
@@ -408,6 +426,22 @@ def test_runtime_error_exit_one(capsys):
     code, _, err = run_cli(capsys, "classify", "--n", "10", "--seq", "2,8,5,5")
     assert code == 1
     assert "PreconditionViolated" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("index", "--n", "1", "--seq", "1"),
+        ("enumerate", "--n", "1"),
+        ("validate", "--target", "lemmas", "--n", "1"),
+        ("classify", "--n", "3000000000", "--seq", "1,2"),
+    ],
+)
+def test_out_of_range_modulus_is_an_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ModulusOutOfRange")
 
 
 def test_jobs_env_var(tmp_path, capsys, monkeypatch):

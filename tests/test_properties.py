@@ -101,6 +101,21 @@ def test_canonical_enumeration_matches_naive_composites():
             assert elems == min(
                 tuple(sorted(u * x % n for x in elems)) for u in units
             ), (n, elems)
+        # reducedness, the reduced unit stripe and the normal form where
+        # all three prime cofactors matter; a canonical class starts with
+        # 1 iff it has a unit element
+        mod = factorize(n)
+        seqs = [GroupSequence(mod, elems) for elems in fast]
+        with_unit = [s for s in seqs if s.elems[0] == 1]
+        assert verify_conjecture(n).reduced_count == sum(map(is_reduced, seqs)), n
+        if n != 125:
+            qualifying = sum(map(is_reduced, with_unit))
+            assert qualifying == 5, n
+            assert validate_theorem21(n).qualifying_count == qualifying, n
+        if n in (105, 165):
+            assert [normalize_quad(s) for s in with_unit] == [
+                _brute_normal_form(s) for s in with_unit
+            ], n
 
 
 def test_interval_arithmetic_randomized():
