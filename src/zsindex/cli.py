@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -204,8 +205,9 @@ def _resolve_jobs(requested: int | None) -> int:
             value = int(env)
         except ValueError:
             raise UsageError(f"ZSINDEX_JOBS={env!r} is not an integer") from None
-        if value >= 1:
-            return value
+        if value < 1:
+            raise UsageError(f"ZSINDEX_JOBS={env!r} must be >= 1")
+        return value
     return os.cpu_count() or 1
 
 
@@ -368,15 +370,7 @@ def cmd_lemma(args) -> int:
         "structure": structure,
     }
     if args.omega:
-        payload["omega"] = [
-            {
-                "lo": str(iv.lo),
-                "hi": str(iv.hi),
-                "lo_closed": iv.lo_closed,
-                "hi_closed": iv.hi_closed,
-            }
-            for iv in omega_build(quad, alt_lower=args.alt_lower)
-        ]
+        payload["omega"] = omega_build(quad, alt_lower=args.alt_lower)
     lines = [
         f"{o.lemma_id}: fired={o.fired} witness={o.witness}" for o in outcomes
     ] + [f"structure: {structure}"]
@@ -385,17 +379,16 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise UsageError("--limit must be >= 0")
     pattern = Pattern(args.pattern) if args.pattern else None
-    classes = []
-    for seq in enumerate_minimal_quads(
+    stream = enumerate_minimal_quads(
         args.n,
         require_coprime_element=args.require_coprime_element,
         require_reduced=args.require_reduced,
         pattern=pattern,
-    ):
-        classes.append(list(seq.elems))
-        if args.limit is not None and len(classes) >= args.limit:
-            break
+    )
+    classes = [list(seq.elems) for seq in itertools.islice(stream, args.limit)]
     payload = {
         "n": args.n,
         "filters": {
@@ -535,7 +528,7 @@ def cmd_validate(args) -> int:
     if args.n is not None:
         ns = [args.n]
     elif args.min is not None and args.max is not None:
-        ns = list(range(args.min, args.max + 1))
+        ns = list(range(max(args.min, 2), args.max + 1))
     else:
         raise UsageError(f"{args.target} needs --n or both --min and --max")
 

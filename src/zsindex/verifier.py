@@ -42,7 +42,7 @@ from .sequences import (
     _canonical_tuple,
     _index_numerator,
     _min_gcd,
-    is_minimal_zero_sum,
+    _multiset_minimal_zero_sum,
     is_reduced,
 )
 from .zncore import Modulus, factorize
@@ -364,6 +364,21 @@ def iter_minimal_tuples(n: int, k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 0, 0, 0)
 
 
+def _sample_minimal_tuples(
+    n: int, k: int, samples: int, rng: random.Random
+) -> Iterator[tuple[int, ...]]:
+    """Rejection-sample sorted minimal zero-sum k-tuples over Z_n: draw
+    k-1 sorted residues in [1, n-1], force the last by the zero sum."""
+    for _ in range(samples):
+        draw = sorted(rng.randrange(1, n) for _ in range(k - 1))
+        last = (-sum(draw)) % n
+        if last == 0 or last < draw[-1]:
+            continue
+        elems = tuple(draw) + (last,)
+        if _multiset_minimal_zero_sum(n, elems):
+            yield elems
+
+
 def search_high_index(
     n_lo: int,
     n_hi: int,
@@ -379,55 +394,47 @@ def search_high_index(
     Exhaustive mode covers every class for k <= 8 (quads through the
     class decomposition, other lengths through the pruned tuple walk);
     randomized mode rejection-samples sorted tuples.  Results are one
-    canonical representative per class, sorted, truncated at limit.
+    canonical representative per class, sorted by (n, class).  A limit
+    >= 0 stops the search at the first modulus that reaches it and keeps
+    the first limit hits; a negative limit is rejected.
     """
     if mode not in ("exhaustive", "random"):
         raise PreconditionViolated(f"unknown search mode {mode!r}")
     if mode == "exhaustive" and k > 8:
         raise PreconditionViolated("exhaustive search is guarded at k <= 8")
-    hits: dict[tuple[int, tuple[int, ...]], Counterexample] = {}
+    if limit is not None and limit < 0:
+        raise PreconditionViolated(f"limit must be >= 0, got {limit}")
+    hits: list[Counterexample] = []
     rng = random.Random(seed)
     for n in range(max(n_lo, 2), n_hi + 1):
         if k >= n:
             continue
-        mod = factorize(n)
-        mask = mod.unit_mask()
-        target = min_index * n
-
-        def consider(elems: tuple[int, ...]) -> None:
-            num, _ = _index_numerator(n, elems, mask)
-            if num >= target:
-                canon = _canonical_tuple(n, elems, _min_gcd(n, elems))
-                key = (n, canon)
-                if key not in hits:
-                    hits[key] = Counterexample(
-                        n=n,
-                        elems=canon,
-                        index_numerator=num,
-                        context="search",
-                        detail=f"k={k}, index {Fraction(num, n)}",
-                    )
-
-        if mode == "exhaustive":
-            if k == 4:
-                for elems in all_minimal_quad_classes(n):
-                    consider(elems)
-            else:
-                for elems in iter_minimal_tuples(n, k):
-                    consider(elems)
+        mask = factorize(n).unit_mask()
+        if mode == "random":
+            stream = _sample_minimal_tuples(n, k, samples, rng)
+        elif k == 4:
+            stream = all_minimal_quad_classes(n)
         else:
-            for _ in range(samples):
-                draw = sorted(rng.randrange(1, n) for _ in range(k - 1))
-                last = (-sum(draw)) % n
-                if last == 0 or last < draw[-1]:
-                    continue
-                elems = tuple(draw) + (last,)
-                if is_minimal_zero_sum(GroupSequence(mod, elems)):
-                    consider(elems)
+            stream = iter_minimal_tuples(n, k)
+        # the index numerator is constant on a class: keep the first
+        found: dict[tuple[int, ...], int] = {}
+        for elems in stream:
+            num, _ = _index_numerator(n, elems, mask)
+            if num >= min_index * n:
+                found.setdefault(_canonical_tuple(n, elems, _min_gcd(n, elems)), num)
+        hits.extend(
+            Counterexample(
+                n=n,
+                elems=canon,
+                index_numerator=num,
+                context="search",
+                detail=f"k={k}, index {Fraction(num, n)}",
+            )
+            for canon, num in sorted(found.items())
+        )
         if limit is not None and len(hits) >= limit:
             break
-    out = sorted(hits.values(), key=lambda c: (c.n, c.elems))
-    return out[:limit] if limit is not None else out
+    return hits[:limit]
 
 
 def _reduced_unit_classes(n: int) -> list[tuple[int, ...]]:
@@ -469,19 +476,12 @@ def validate_theorem21(n: int) -> Theorem21Report:
     classes = _reduced_unit_classes(n)
     for elems in classes:
         if d == 4:
-            num, _ = _index_numerator(n, elems, mask)
-            anomalies.append(
-                Counterexample(
-                    n=n,
-                    elems=elems,
-                    index_numerator=num,
-                    context="theorem21",
-                    detail="reduced unit-element class over a 4-prime modulus",
-                )
-            )
-            continue
-        gcds = sorted(math.gcd(x, n) for x in elems)
-        pattern = _match_gcd_pattern(gcds, primes).pattern
+            pattern = Pattern.OTHER
+            detail = "reduced unit-element class over a 4-prime modulus"
+        else:
+            gcds = sorted(math.gcd(x, n) for x in elems)
+            pattern = _match_gcd_pattern(gcds, primes).pattern
+            detail = "reduced class outside the gcd-multiset statements"
         if pattern is Pattern.OTHER:
             num, _ = _index_numerator(n, elems, mask)
             anomalies.append(
@@ -490,7 +490,7 @@ def validate_theorem21(n: int) -> Theorem21Report:
                     elems=elems,
                     index_numerator=num,
                     context="theorem21",
-                    detail="reduced class outside the gcd-multiset statements",
+                    detail=detail,
                 )
             )
             continue
@@ -615,7 +615,6 @@ def validate_remark32(lo: int, hi: int) -> Remark32Report:
     violations: list[Counterexample] = []
     census: Counter[str] = Counter()
     vacuous: list[int] = []
-    qualifying = 0
     bounded = (Pattern.A2, Pattern.A3, Pattern.A4)
     for n in moduli:
         mod = factorize(n)
@@ -629,7 +628,6 @@ def validate_remark32(lo: int, hi: int) -> Remark32Report:
             quad = normalize_quad(seq)
             if quad is None:
                 continue
-            qualifying += 1
             n_qualifying += 1
             census[cls.pattern.value] += 1
             if not remark32_check(quad, cls.pattern):
@@ -649,7 +647,7 @@ def validate_remark32(lo: int, hi: int) -> Remark32Report:
         lo=lo,
         hi=hi,
         checked_moduli=tuple(moduli),
-        qualifying_count=qualifying,
+        qualifying_count=sum(census.values()),
         census=dict(census),
         violations=tuple(violations),
         vacuous_moduli=tuple(vacuous),

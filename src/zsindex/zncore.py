@@ -15,25 +15,6 @@ from .errors import ModulusOutOfRange, NotAUnit
 
 MAX_MODULUS = 2**31
 
-# Largest factor a sieve-driven trial division must reach: sqrt(2^31).
-_SIEVE_LIMIT = 46_341
-
-_small_primes: list[int] | None = None
-
-
-def _sieve_primes() -> list[int]:
-    """Primes up to sqrt(MAX_MODULUS), computed once and cached."""
-    global _small_primes
-    if _small_primes is None:
-        limit = _SIEVE_LIMIT
-        flags = bytearray(b"\x01") * (limit + 1)
-        flags[0] = flags[1] = 0
-        for p in range(2, int(math.isqrt(limit)) + 1):
-            if flags[p]:
-                flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-        _small_primes = [i for i in range(limit + 1) if flags[i]]
-    return _small_primes
-
 
 @dataclass(frozen=True)
 class Modulus:
@@ -127,20 +108,22 @@ def _lift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=4096)
 def factorize(n: int) -> Modulus:
-    """Factor n by sieve-driven trial division and wrap it as a Modulus,
-    which rejects n outside [2, 2^31] with ModulusOutOfRange.
+    """Factor n by trial division (2, then odd p while p * p <= what is
+    left) and wrap it as a Modulus, which rejects n outside [2, 2^31]
+    with ModulusOutOfRange.  Divisors stop at sqrt(MAX_MODULUS), so an
+    out-of-range n is rejected without being factored in full.
     """
     remaining = n
     factors: list[tuple[int, int]] = []
-    for p in _sieve_primes():
-        if p * p > remaining:
-            break
+    p = 2
+    while p * p <= min(remaining, MAX_MODULUS):
         if remaining % p == 0:
             mult = 0
             while remaining % p == 0:
                 remaining //= p
                 mult += 1
             factors.append((p, mult))
+        p += 1 if p == 2 else 2
     if remaining > 1:
         factors.append((remaining, 1))
     return Modulus(n=n, factors=tuple(factors), coprime_to_6=math.gcd(n, 6) == 1)

@@ -1,6 +1,7 @@
 """Tests for the command line front end: payload schemas, exit codes,
 and the resumable verification cache."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -128,6 +129,20 @@ def test_enumerate_command(capsys):
     assert [1, 2, 3, 5] in payload["classes"]
     code, limited, _ = run_json(capsys, "enumerate", "--n", "11", "--limit", "2")
     assert limited["count"] == 2
+
+
+def test_limit_below_one(capsys):
+    code, payload, _ = run_json(capsys, "enumerate", "--n", "12", "--limit", "0")
+    assert code == 0
+    assert payload["count"] == 0 and payload["classes"] == []
+    code, out, err = run_cli(capsys, "enumerate", "--n", "12", "--limit", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --limit must be >= 0")
+    code, out, err = run_cli(
+        capsys, "search", "--max", "12", "--k", "4", "--limit", "-1"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: PreconditionViolated")
 
 
 def test_enumerate_pattern_filter(capsys):
@@ -356,6 +371,13 @@ def test_validate_theorem21_cli(capsys):
     assert report["census"] == {"A2": 3, "A3": 1, "A4": 1}
     assert payload["anomaly_count"] == 0
 
+    # range mode starts at n = 2 and skips moduli it cannot check
+    code, payload, _ = run_json(
+        capsys, "validate", "--target", "theorem21", "--min", "0", "--max", "30"
+    )
+    assert code == 0
+    assert [r["n"] for r in payload["reports"]] == [30]
+
 
 def test_validate_lemmas_cli(capsys):
     code, payload, _ = run_json(capsys, "validate", "--target", "lemmas", "--n", "25")
@@ -378,6 +400,12 @@ def test_validate_lemmas_cli(capsys):
         assert list(cex) == ["n", "class", "index", "context", "detail"]
     assert violation["class"] == [1, 3, 8, 8]
     assert violation["index"] == 2
+
+    code, payload, _ = run_json(
+        capsys, "validate", "--target", "lemmas", "--min", "0", "--max", "9"
+    )
+    assert code == 0
+    assert [r["n"] for r in payload["reports"]] == list(range(2, 10))
 
 
 def test_validate_remark32_cli(capsys):
@@ -449,8 +477,11 @@ def test_jobs_env_var(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--min", "5", "--max", "7", "--coprime-to-6")
     assert code == 0
     assert json.loads(out)["jobs"] == 1
-    monkeypatch.setenv("ZSINDEX_JOBS", "banana")
-    assert run_cli(capsys, "verify", "--min", "5", "--max", "7")[0] == 1
+    for bad in ("banana", "0"):
+        monkeypatch.setenv("ZSINDEX_JOBS", bad)
+        code, out, err = run_cli(capsys, "verify", "--min", "5", "--max", "7")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: ZSINDEX_JOBS='{bad}'")
 
 
 def test_text_format(capsys):
@@ -468,3 +499,21 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ind"] == 1
+
+
+def test_imports_only_the_standard_library():
+    package = os.path.dirname(cli.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            for root in roots:
+                assert root in sys.stdlib_module_names, (name, root)

@@ -28,6 +28,7 @@ from zsindex import (
     validate_remark32,
     validate_theorem21,
     verify_conjecture,
+    verifier,
     verify_many,
 )
 
@@ -158,6 +159,26 @@ def test_iter_minimal_tuples_complete():
     assert len(walked) == len(brute)
 
 
+def _brute_high_index(n, k):
+    """(n, class, index numerator) of every minimal zero-sum k-class over
+    Z_n with index >= 2, from all sorted k-multisets, in class order."""
+    units = [t for t in range(1, n) if math.gcd(t, n) == 1]
+    found = {}
+    for elems in combinations_with_replacement(range(1, n), k):
+        if sum(elems) % n:
+            continue
+        if any(
+            sum(x for i, x in enumerate(elems) if mask >> i & 1) % n == 0
+            for mask in range(1, 2**k - 1)
+        ):
+            continue
+        num = min(sum(t * x % n for x in elems) for t in units)
+        if num >= 2 * n:
+            canon = min(tuple(sorted(t * x % n for x in elems)) for t in units)
+            found[canon] = num
+    return [(n, canon, num) for canon, num in sorted(found.items())]
+
+
 def test_search_exhaustive_k4():
     hits = search_high_index(2, 20, 4)
     assert all(math.gcd(h.n, 6) != 1 for h in hits)
@@ -169,6 +190,12 @@ def test_search_exhaustive_k4():
         assert r.numerator == h.index_numerator
         assert r.value >= 2
     assert sorted(by_n) == [6, 8, 9, 10, 12, 14, 15, 16, 18, 20]
+    # the whole hit list, in order, against a brute force over multisets
+    for k in (4, 5, 6):
+        expected = [hit for n in range(5, 15) for hit in _brute_high_index(n, k)]
+        assert expected
+        got = [(h.n, h.elems, h.index_numerator) for h in search_high_index(5, 14, k)]
+        assert got == expected
 
 
 def test_search_k3_empty():
@@ -178,6 +205,8 @@ def test_search_k3_empty():
 def test_search_limit_and_min_index():
     hits = search_high_index(2, 20, 4, limit=3)
     assert len(hits) == 3
+    assert hits == search_high_index(2, 20, 4)[:3]
+    assert search_high_index(2, 20, 4, limit=0) == []
     assert search_high_index(2, 20, 4, min_index=3) == []
 
 
@@ -194,6 +223,8 @@ def test_search_guards():
         search_high_index(2, 20, 9)
     with pytest.raises(PreconditionViolated):
         search_high_index(2, 20, 4, mode="guess")
+    with pytest.raises(PreconditionViolated):
+        search_high_index(2, 20, 4, limit=-1)
 
 
 def test_delegation_cross_check():
@@ -228,6 +259,28 @@ def test_theorem21_1001():
     assert report.census == {"A2": 3, "A3": 1, "A4": 1}
     assert report.a3_without_normal_form == 0
     assert report.anomalies == ()
+
+
+def test_theorem21_anomaly_records(monkeypatch):
+    # no real modulus yields an anomaly, so feed the validator one class
+    # per anomaly kind: a gcd multiset outside A1-A4, and any class at all
+    # over a four-prime modulus
+    for n, elems, detail in (
+        (385, (1, 5, 5, 374), "reduced class outside the gcd-multiset statements"),
+        (1155, (1, 1, 1, 1152), "reduced unit-element class over a 4-prime modulus"),
+    ):
+        monkeypatch.setattr(verifier, "_reduced_unit_classes", lambda _n: [elems])
+        report = validate_theorem21(n)
+        assert report.anomalies == (
+            Counterexample(
+                n=n,
+                elems=elems,
+                index_numerator=index_of(GroupSequence.of(n, elems)).numerator,
+                context="theorem21",
+                detail=detail,
+            ),
+        )
+        assert report.census == {} and report.qualifying_count == 1
 
 
 def test_theorem21_guards():

@@ -26,6 +26,9 @@ def test_factorize_prime_power():
     assert mod.factors == ((3, 2),)
     assert mod.coprime_to_6 is False
     assert not mod.is_squarefree
+    # the top of the range: the largest prime square and a Mersenne prime
+    assert factorize(46337**2).factors == ((46337, 2),)
+    assert factorize(2**31 - 1).factors == ((2**31 - 1, 1),)
 
 
 def test_factorize_rejects_small():
@@ -40,6 +43,9 @@ def test_factorize_rejects_small():
 def test_factorize_rejects_oversized():
     with pytest.raises(ValueError):
         factorize(2**31 + 1)
+    # a prime far above the range is rejected without being factored
+    with pytest.raises(ValueError):
+        factorize(2**89 - 1)
 
 
 def test_factorize_roundtrip_random():
