@@ -171,16 +171,17 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _emit(payload, args, text_lines=None, csv_rows=None) -> None:
+def _emit(payload, args, text_lines, csv_rows=None) -> None:
     """Render the report in the requested format to --output or stdout.
 
-    csv_rows (header first) is given only by commands that support csv.
+    text_lines must be nonempty: a command with no results says so in a
+    line of its own.  csv_rows (header first) is given only by commands
+    that support csv.
     """
     if args.format == "json":
         rendered = json.dumps(payload, indent=2, default=_jsonable) + "\n"
     elif args.format == "text":
-        lines = text_lines or [json.dumps(payload, default=_jsonable)]
-        rendered = "\n".join(lines) + "\n"
+        rendered = "\n".join(text_lines) + "\n"
     elif csv_rows is not None:
         buf = io.StringIO()
         csv.writer(buf).writerows(csv_rows)
@@ -298,7 +299,7 @@ def cmd_index(args) -> int:
         f"n={r['n']} seq={','.join(map(str, r['seq']))} ind={r['ind']} "
         f"witness_t={r['witness_t']}"
         for r in results
-    ]
+    ] or ["no sequences"]
     _emit(payload, args, lines)
     return 0
 
@@ -399,7 +400,7 @@ def cmd_enumerate(args) -> int:
         "count": len(classes),
         "classes": classes,
     }
-    lines = [",".join(map(str, cls)) for cls in classes]
+    lines = [",".join(map(str, cls)) for cls in classes] or ["no classes"]
     _emit(payload, args, lines)
     return 0
 
@@ -547,7 +548,7 @@ def cmd_validate(args) -> int:
             f"n={r.n} qualifying={r.qualifying_count} census={r.census} "
             f"anomalies={len(r.anomalies)}"
             for r in reports
-        ]
+        ] or ["no moduli"]
     else:
         for n in ns:
             report = validate_lemmas(n)
@@ -560,7 +561,7 @@ def cmd_validate(args) -> int:
             f"violations={ {k: len(v) for k, v in r.violations.items()} } "
             f"findings_34={len(r.findings_34)}"
             for r in reports
-        ]
+        ] or ["no moduli"]
     payload = {"target": args.target, "anomaly_count": anomalies, "reports": reports}
     _emit(payload, args, lines)
     return 2 if anomalies else 0

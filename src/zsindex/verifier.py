@@ -438,19 +438,39 @@ def search_high_index(
 
 
 def _reduced_unit_classes(n: int) -> list[tuple[int, ...]]:
-    """Canonical reduced classes that contain a unit element.
+    """Sorted canonical reduced classes that contain a unit element.
 
-    Reducedness is orbit-invariant and cheap, so it is tested on the raw
-    stripe tuples first; only survivors are canonicalized, and each class
-    is kept once, in order, as in all_minimal_quad_classes.
+    The canonical member of such a class is a tuple (1, y2, y3, y4) of
+    the d = 1 stripe.  With x1 = 1, the reducedness test for the
+    cofactor m = n // p passes iff some y_j == 0 or -1 (mod m).  Taking
+    p the least prime of n, every reduced class therefore has its
+    canonical member among the stripe tuples that contain an element of
+    the anchors H = {y in [1, n-2] : y == 0 or -1 (mod m)}, a set of
+    2(p - 1) residues.  Each y in H and each z in [1, n-2] force the
+    fourth element, so the candidates cost O(p n) instead of the O(n^2)
+    stripe.  A tuple through several anchors is met more than once, so
+    the reduced canonical ones are collected in a set (a handful of
+    tuples) and sorted.  A prime n has m = 1, so H is every residue and
+    the stripe itself is filtered instead.
     """
     cofactors = tuple(n // p for p in factorize(n).prime_divisors)
-    return [
+    m = cofactors[0]
+    if m == 1:
+        candidates = _stripe(n, 1)
+    else:
+        anchors = [y + r for y in range(m, n, m) for r in (-1, 0)]
+        candidates = (
+            (1, *sorted((y, z, w)))
+            for y in anchors
+            for z in range(1, n - 1)
+            if 0 < (w := -(1 + y + z) % n) < n - 1
+        )
+    return sorted({
         quad
-        for quad in _stripe(n, 1)
+        for quad in candidates
         if _is_reduced_quad_raw(n, quad, cofactors)
         and _canonical_tuple(n, quad, 1) == quad
-    ]
+    })
 
 
 def validate_theorem21(n: int) -> Theorem21Report:

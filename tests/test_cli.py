@@ -484,12 +484,24 @@ def test_jobs_env_var(tmp_path, capsys, monkeypatch):
         assert err.startswith(f"error: ZSINDEX_JOBS='{bad}'")
 
 
-def test_text_format(capsys):
+def test_text_format(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "index", "--n", "11", "--seq", "1,4,8,9", "--format", "text"
     )
     assert code == 0
     assert out.strip() == "n=11 seq=1,4,8,9 ind=1 witness_t=3"
+
+    # a command with nothing to list says so in text, not as a JSON object
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    for argv, line in (
+        (["index", "--n", "11", "--file", str(empty)], "no sequences"),
+        (["enumerate", "--n", "5", "--require-coprime-element"], "no classes"),
+        (["validate", "--target", "theorem21", "--min", "0", "--max", "20"], "no moduli"),
+        (["validate", "--target", "lemmas", "--min", "0", "--max", "1"], "no moduli"),
+    ):
+        code, out, _ = run_cli(capsys, *argv, "--format", "text")
+        assert (code, out) == (0, line + "\n"), argv
 
 
 def test_console_entry_point():

@@ -261,6 +261,33 @@ def test_theorem21_1001():
     assert report.anomalies == ()
 
 
+def _stripe_reduced_unit_classes(n):
+    # reference: filter the whole d = 1 stripe by reducedness and canonicity
+    cofactors = tuple(n // p for p in factorize(n).prime_divisors)
+    return [
+        quad
+        for quad in verifier._stripe(n, 1)
+        if verifier._is_reduced_quad_raw(n, quad, cofactors)
+        and verifier._canonical_tuple(n, quad, 1) == quad
+    ]
+
+
+def test_reduced_unit_classes_match_stripe_filter():
+    # primes, prime powers, even n, and three- and four-prime moduli
+    for n in [*range(4, 201), 231, 385, 1001, 1155, 1309, 2431]:
+        assert verifier._reduced_unit_classes(n) == _stripe_reduced_unit_classes(n), n
+
+
+def test_theorem21_survey_1000_3000():
+    moduli = three_prime_moduli(1000, 3000)
+    assert len(moduli) == 54
+    for n in moduli:
+        report = validate_theorem21(n)
+        assert report.qualifying_count == 5, n
+        assert report.census == {"A2": 3, "A3": 1, "A4": 1}, n
+        assert report.anomalies == (), n
+
+
 def test_theorem21_anomaly_records(monkeypatch):
     # no real modulus yields an anomaly, so feed the validator one class
     # per anomaly kind: a gcd multiset outside A1-A4, and any class at all
