@@ -445,26 +445,23 @@ def _reduced_unit_classes(n: int) -> list[tuple[int, ...]]:
     cofactor m = n // p passes iff some y_j == 0 or -1 (mod m).  Taking
     p the least prime of n, every reduced class therefore has its
     canonical member among the stripe tuples that contain an element of
-    the anchors H = {y in [1, n-2] : y == 0 or -1 (mod m)}, a set of
-    2(p - 1) residues.  Each y in H and each z in [1, n-2] force the
-    fourth element, so the candidates cost O(p n) instead of the O(n^2)
-    stripe.  A tuple through several anchors is met more than once, so
-    the reduced canonical ones are collected in a set (a handful of
-    tuples) and sorted.  A prime n has m = 1, so H is every residue and
-    the stripe itself is filtered instead.
+    the anchors H = {y in [1, n-2] : y == 0 or -1 (mod m)}, which holds
+    2(p - 1) residues when m > 1.  Each y in H and each z in [1, n-2]
+    force the fourth element, so the candidates cost O(|H| n): O(p n)
+    instead of the O(n^2) stripe for composite n.  For prime n, m = 1
+    and H is every residue.  A tuple through several anchors is met more
+    than once, so the reduced canonical ones are collected in a set (a
+    handful of tuples) and sorted.
     """
     cofactors = tuple(n // p for p in factorize(n).prime_divisors)
     m = cofactors[0]
-    if m == 1:
-        candidates = _stripe(n, 1)
-    else:
-        anchors = [y + r for y in range(m, n, m) for r in (-1, 0)]
-        candidates = (
-            (1, *sorted((y, z, w)))
-            for y in anchors
-            for z in range(1, n - 1)
-            if 0 < (w := -(1 + y + z) % n) < n - 1
-        )
+    anchors = [y for y in range(1, n - 1) if y % m in (0, m - 1)]
+    candidates = (
+        (1, *sorted((y, z, w)))
+        for y in anchors
+        for z in range(1, n - 1)
+        if 0 < (w := -(1 + y + z) % n) < n - 1
+    )
     return sorted({
         quad
         for quad in candidates
