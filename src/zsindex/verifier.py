@@ -43,7 +43,6 @@ from .sequences import (
     _index_numerator,
     _min_gcd,
     _multiset_minimal_zero_sum,
-    is_reduced,
 )
 from .zncore import Modulus, factorize
 
@@ -146,6 +145,11 @@ def _is_reduced_quad_raw(
     return True
 
 
+def _census(counts: Counter[Pattern]) -> dict[str, int]:
+    """A pattern census keyed in Pattern order, not in meeting order."""
+    return {p.value: counts[p] for p in Pattern if counts[p]}
+
+
 def _stripe(n: int, d: int) -> Iterator[tuple[int, int, int, int]]:
     """Sorted minimal zero-sum quads (d, y2, y3, y4), y4 forced, whose
     elements all have gcd(y, n) >= d.
@@ -170,6 +174,16 @@ def _stripe(n: int, d: int) -> Iterator[tuple[int, int, int, int]]:
                     yield (d, y2, y3, rest - y3)
 
 
+def _quad_classes(n: int, stripes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Canonical class representatives, lazily, from the stripes of the
+    divisors in stripes: the stripe tuples that are their own canonical
+    form.  Ascending divisors give the classes in sorted order."""
+    for d in stripes:
+        for quad in _stripe(n, d):
+            if _canonical_tuple(n, quad, d) == quad:
+                yield quad
+
+
 def all_minimal_quad_classes(n: int) -> list[tuple[int, ...]]:
     """Sorted canonical representatives of every minimal zero-sum quad
     class over Z_n, including classes with nontrivial global gcd.
@@ -180,12 +194,7 @@ def all_minimal_quad_classes(n: int) -> list[tuple[int, ...]]:
     yields each class once, in order: the stripes run by increasing d
     and each yields its tuples in lexicographic order.
     """
-    return [
-        quad
-        for d in factorize(n).divisors()[:-1]
-        for quad in _stripe(n, d)
-        if _canonical_tuple(n, quad, d) == quad
-    ]
+    return list(_quad_classes(n, factorize(n).divisors()[:-1]))
 
 
 def naive_minimal_quad_classes(n: int) -> list[tuple[int, ...]]:
@@ -213,29 +222,25 @@ def enumerate_minimal_quads(
     require_reduced: bool = False,
     pattern: Pattern | None = None,
 ) -> Iterator[GroupSequence]:
-    """Stream canonical class representatives in sorted order.
+    """Stream canonical class representatives in sorted order, lazily.
 
-    With require_coprime_element the enumeration runs over the
-    normal-form parameter space; otherwise over the divisor stripes of
-    all_minimal_quad_classes.  Pattern filtering implies classification,
-    which skips classes with nontrivial global gcd.
+    The classes come from the divisor stripes of all_minimal_quad_classes.
+    A class has a unit element iff its canonical member starts with 1,
+    so require_coprime_element reads the d = 1 stripe alone.  Pattern
+    filtering implies classification, which skips classes with
+    nontrivial global gcd.
     """
     mod = factorize(n)
-    if require_coprime_element:
-        tuples = sorted({
-            _canonical_tuple(n, q.elems, 1) for q in _normal_form_quads(n)
-        })
-    else:
-        tuples = all_minimal_quad_classes(n)
-    for elems in tuples:
-        seq = GroupSequence(mod, elems)
-        if require_reduced and not is_reduced(seq):
+    stripes = (1,) if require_coprime_element else mod.divisors()[:-1]
+    cofactors = tuple(n // p for p in mod.prime_divisors)
+    for elems in _quad_classes(n, stripes):
+        if require_reduced and not _is_reduced_quad_raw(n, elems, cofactors):
             continue
-        if pattern is not None:
-            if math.gcd(*elems, n) != 1:
-                continue
-            if classify_pattern(seq).pattern is not pattern:
-                continue
+        if pattern is not None and math.gcd(*elems, n) != 1:
+            continue
+        seq = GroupSequence(mod, elems)
+        if pattern is not None and classify_pattern(seq).pattern is not pattern:
+            continue
         yield seq
 
 
@@ -251,7 +256,7 @@ def verify_conjecture(n: int) -> VerifyReport:
     mask = mod.unit_mask()
     cofactors = tuple(n // p for p in mod.prime_divisors)
     three_prime = mod.is_squarefree and len(mod.prime_divisors) == 3
-    census: Counter[str] = Counter()
+    census: Counter[Pattern] = Counter()
     counterexamples: list[Counterexample] = []
     reduced_count = 0
     max_index = 0
@@ -275,7 +280,7 @@ def verify_conjecture(n: int) -> VerifyReport:
             reduced_count += 1
             if three_prime and math.gcd(*elems, n) == 1:
                 cls = classify_pattern(GroupSequence(mod, elems))
-                census[cls.pattern.value] += 1
+                census[cls.pattern] += 1
     vacuous = {"pattern_census": not three_prime or sum(census.values()) == 0}
     return VerifyReport(
         n=n,
@@ -283,7 +288,7 @@ def verify_conjecture(n: int) -> VerifyReport:
         class_count=len(classes),
         max_index=max_index,
         counterexamples=tuple(counterexamples),
-        pattern_census=dict(census),
+        pattern_census=_census(census),
         reduced_count=reduced_count,
         vacuous=vacuous,
         elapsed=time.perf_counter() - t0,
@@ -487,7 +492,7 @@ def validate_theorem21(n: int) -> Theorem21Report:
         )
     mask = mod.unit_mask()
     primes = mod.prime_divisors
-    census: Counter[str] = Counter()
+    census: Counter[Pattern] = Counter()
     anomalies: list[Counterexample] = []
     a3_unrefined = 0
     classes = _reduced_unit_classes(n)
@@ -511,7 +516,7 @@ def validate_theorem21(n: int) -> Theorem21Report:
                 )
             )
             continue
-        census[pattern.value] += 1
+        census[pattern] += 1
         if pattern is Pattern.A3:
             cls = classify_pattern(GroupSequence(mod, elems))
             if cls.pattern is not Pattern.A3:
@@ -520,7 +525,7 @@ def validate_theorem21(n: int) -> Theorem21Report:
         n=n,
         prime_count=d,
         qualifying_count=len(classes),
-        census=dict(census),
+        census=_census(census),
         a3_without_normal_form=a3_unrefined,
         anomalies=tuple(anomalies),
         vacuous=len(classes) == 0,
@@ -630,7 +635,7 @@ def validate_remark32(lo: int, hi: int) -> Remark32Report:
     t0 = time.perf_counter()
     moduli = three_prime_moduli(lo, hi)
     violations: list[Counterexample] = []
-    census: Counter[str] = Counter()
+    census: Counter[Pattern] = Counter()
     vacuous: list[int] = []
     bounded = (Pattern.A2, Pattern.A3, Pattern.A4)
     for n in moduli:
@@ -646,7 +651,7 @@ def validate_remark32(lo: int, hi: int) -> Remark32Report:
             if quad is None:
                 continue
             n_qualifying += 1
-            census[cls.pattern.value] += 1
+            census[cls.pattern] += 1
             if not remark32_check(quad, cls.pattern):
                 num, _ = _index_numerator(n, elems, mask)
                 violations.append(
@@ -665,7 +670,7 @@ def validate_remark32(lo: int, hi: int) -> Remark32Report:
         hi=hi,
         checked_moduli=tuple(moduli),
         qualifying_count=sum(census.values()),
-        census=dict(census),
+        census=_census(census),
         violations=tuple(violations),
         vacuous_moduli=tuple(vacuous),
         elapsed=time.perf_counter() - t0,

@@ -61,17 +61,6 @@ class Modulus:
         """Length-n lookup table: entry r is 1 iff gcd(r, n) == 1."""
         return _unit_mask(self.n, self.prime_divisors)
 
-    def units(self):
-        """Yield the units of Z_n in increasing order."""
-        mask = self.unit_mask()
-        for r in range(1, self.n):
-            if mask[r]:
-                yield r
-
-    def inverse_table(self) -> tuple[int, ...]:
-        """Entry r is the inverse of r mod n for units, 0 otherwise."""
-        return tuple(lift[0] if lift else 0 for lift in _lift_table(self.n, 1))
-
     def divisors(self) -> tuple[int, ...]:
         """All positive divisors of n in increasing order."""
         divs = [1]
@@ -89,12 +78,15 @@ def _unit_mask(n: int, prime_divisors: tuple[int, ...]) -> bytes:
     return bytes(mask)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _lift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Entry r lists the units t of Z_n with t * d * r == d (mod n).
 
     Those are the lifts of r^-1 mod n // d that are units mod n; the
     entry is empty unless gcd(r, n // d) == 1, i.e. gcd(d * r, n) == d.
+    The cache holds one modulus's tables (a three-prime modulus has
+    seven stripes, then its census reads d = 1 again); a range sweep
+    never returns to a modulus, so more would only be stale.
     """
     m = n // d
     mask = factorize(n).unit_mask()

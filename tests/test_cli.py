@@ -491,12 +491,18 @@ def test_text_format(tmp_path, capsys):
     assert code == 0
     assert out.strip() == "n=11 seq=1,4,8,9 ind=1 witness_t=3"
 
+    # (1, 1, 1, 2) has a unit element but no normal form
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--n", "5", "--require-coprime-element", "--format", "text"
+    )
+    assert (code, out) == (0, "1,1,1,2\n")
+
     # a command with nothing to list says so in text, not as a JSON object
     empty = tmp_path / "empty.txt"
     empty.write_text("")
     for argv, line in (
         (["index", "--n", "11", "--file", str(empty)], "no sequences"),
-        (["enumerate", "--n", "5", "--require-coprime-element"], "no classes"),
+        (["enumerate", "--n", "5", "--pattern", "A1"], "no classes"),
         (["validate", "--target", "theorem21", "--min", "0", "--max", "20"], "no moduli"),
         (["validate", "--target", "lemmas", "--min", "0", "--max", "1"], "no moduli"),
     ):

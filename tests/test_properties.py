@@ -83,9 +83,7 @@ def test_canonical_enumeration_matches_naive_all_n_60():
         forms = [normalize_quad(s) for s in with_unit]
         assert forms == [_brute_normal_form(s) for s in with_unit], n
         coprime = enumerate_minimal_quads(n, require_coprime_element=True)
-        assert [s.elems for s in coprime] == [
-            s.elems for s, form in zip(with_unit, forms) if form is not None
-        ], n
+        assert [s.elems for s in coprime] == [s.elems for s in with_unit], n
         if n in (30, 42):
             qualifying = sum(map(is_reduced, with_unit))
             assert validate_theorem21(n).qualifying_count == qualifying, n

@@ -30,6 +30,7 @@ from zsindex import (
     verify_conjecture,
     verifier,
     verify_many,
+    zncore,
 )
 
 
@@ -79,12 +80,39 @@ def test_enumerate_pattern_filter_matches_congruence_scan():
 
 
 def test_enumerate_coprime_element_space():
-    # the coprime-element filter enumerates normal-form parameter space,
-    # so every emitted class contains a unit and normalizes
+    # the coprime-element filter reads the d = 1 stripe, so every emitted
+    # class contains a unit
     mask = factorize(25).unit_mask()
     for s in enumerate_minimal_quads(25, require_coprime_element=True):
         assert any(mask[x] for x in s.elems)
         assert sum(s.elems) % 25 == 0
+
+
+def test_enumerate_coprime_element_reads_only_the_unit_stripe(monkeypatch):
+    # a class has a unit element iff its canonical member starts with 1,
+    # so the coprime filter opens the d = 1 stripe alone, and the lazy
+    # stream opens no later stripe before its first class
+    real_stripe = verifier._stripe
+    opened = []
+
+    def stripe(n, d):
+        opened.append(d)
+        return real_stripe(n, d)
+
+    monkeypatch.setattr(verifier, "_stripe", stripe)
+    for n in (105, 385):
+        opened.clear()
+        list(enumerate_minimal_quads(n, require_coprime_element=True))
+        assert opened == [1], n
+        opened.clear()
+        next(enumerate_minimal_quads(n))
+        assert opened == [1], n
+    # with reducedness too, exactly the classes theorem 2.1 checks,
+    # including those with no normal form (all 5 at n = 385)
+    composite = [n for n in range(4, 201) if factorize(n).prime_divisors != (n,)]
+    for n in [*composite, 385, 1001]:
+        stream = enumerate_minimal_quads(n, True, True)
+        assert [s.elems for s in stream] == verifier._reduced_unit_classes(n), n
 
 
 def test_verify_conjecture_25():
@@ -312,6 +340,26 @@ def test_theorem21_anomaly_records(monkeypatch):
             ),
         )
         assert report.census == {} and report.qualifying_count == 1
+
+
+def test_census_keys_in_pattern_order():
+    # equal censuses print alike: keys follow Pattern, not the order in
+    # which the classes were met
+    assert list(validate_theorem21(1374).census) == ["A2", "A4"]
+    assert list(validate_theorem21(1390).census) == ["A2", "A4"]
+    assert list(verify_conjecture(110).pattern_census) == ["A1", "A2", "A4"]
+    assert list(verify_conjecture(105).pattern_census) == ["A1", "A2", "A4", "Other"]
+    assert list(validate_remark32(1000, 1400).census) == ["A2", "A3", "A4"]
+
+
+def test_range_sweep_keeps_few_lift_tables():
+    # a sweep never returns to a modulus: the lift-table cache holds about
+    # one modulus's tables, not a stale table per modulus visited
+    for n in range(1001, 1401):
+        mod = factorize(n)
+        if mod.is_squarefree and len(mod.prime_divisors) in (3, 4):
+            validate_theorem21(n)
+    assert zncore._lift_table.cache_info().currsize <= 8
 
 
 def test_theorem21_guards():

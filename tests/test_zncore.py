@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from zsindex import Modulus, NotAUnit, factorize, inv_mod, residue_rep
+from zsindex import Modulus, NotAUnit, factorize, inv_mod, residue_rep, zncore
 
 
 def test_factorize_385():
@@ -110,19 +110,24 @@ def test_inv_mod_property():
             assert residue_rep(t * inv_mod(t, n), n) % n == 1
 
 
+def units(n):
+    mask = factorize(n).unit_mask()
+    return [r for r in range(n) if mask[r]]
+
+
 def test_units_small():
-    assert list(factorize(10).units()) == [1, 3, 7, 9]
-    assert list(factorize(7).units()) == [1, 2, 3, 4, 5, 6]
+    assert units(10) == [1, 3, 7, 9]
+    assert units(7) == [1, 2, 3, 4, 5, 6]
 
 
 def test_units_count_matches_phi():
     assert factorize(385).phi() == 240
-    assert sum(1 for _ in factorize(385).units()) == 240
+    assert sum(factorize(385).unit_mask()) == 240
     rng = random.Random(13)
     for _ in range(40):
         n = rng.randrange(2, 3000)
         mod = factorize(n)
-        assert sum(1 for _ in mod.units()) == mod.phi()
+        assert sum(mod.unit_mask()) == mod.phi()
 
 
 def test_unit_mask_matches_gcd():
@@ -134,15 +139,17 @@ def test_unit_mask_matches_gcd():
 
 
 def test_inverse_table():
+    # for d = 1 the entry of a unit r is its inverse alone; other entries
+    # are empty
     for n in (10, 11, 385):
-        mod = factorize(n)
-        table = mod.inverse_table()
-        mask = mod.unit_mask()
-        for r in range(n):
+        mask = factorize(n).unit_mask()
+        table = zncore._lift_table(n, 1)
+        assert len(table) == n
+        for r, lifts in enumerate(table):
             if mask[r]:
-                assert r * table[r] % n == 1
+                assert len(lifts) == 1 and r * lifts[0] % n == 1
             else:
-                assert table[r] == 0
+                assert lifts == ()
 
 
 def test_divisors():
