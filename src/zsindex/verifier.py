@@ -11,6 +11,14 @@ of gcd d to d.  A class's canonical member lies in exactly one stripe,
 so keeping the stripe tuples that are their own canonical form yields
 each class once, in sorted order, with no set to deduplicate.
 
+Reduced classes come from the same walk, through anchors.  With p the
+least prime of n and m = n // p, a reduced quad (d, y2, y3, y4) is not
+minimal once scaled by p, so d, some y or some d + y is 0 mod m.  If m
+does not divide d, some y is then an anchor, 0 or -d (mod m), and only
+the O(p n) anchored quads are walked.  If m divides d, every y is an
+anchor and the stripe is walked in full: for a prime n, m = 1, and the
+stripe d = m holds only multiples of m, the largest proper divisor.
+
 A slower single-loop reference enumeration over all sorted triples with
 the fourth element forced is kept for cross-checking the stripe.
 """
@@ -150,7 +158,7 @@ def _census(counts: Counter[Pattern]) -> dict[str, int]:
     return {p.value: counts[p] for p in Pattern if counts[p]}
 
 
-def _stripe(n: int, d: int) -> Iterator[tuple[int, int, int, int]]:
+def _stripe(n: int, d: int, m: int | None = None) -> Iterator[tuple[int, ...]]:
     """Sorted minimal zero-sum quads (d, y2, y3, y4), y4 forced, whose
     elements all have gcd(y, n) >= d.
 
@@ -161,25 +169,47 @@ def _stripe(n: int, d: int) -> Iterator[tuple[int, int, int, int]]:
     where y3 <= y4 <= n - d - 1.  The tuples come in lexicographic order:
     for a fixed y2, every y3 of total n is at most (n - d - y2) / 2, below
     n - y2 + 1, the least y3 of total 2n.
+
+    Given m, only the quads holding an anchor y == 0 or -d (mod m) are
+    walked: for a y2 that is not one, y3 keeps the residues 0, -d, rest
+    and rest + d mod m, the last two making y4 the anchor.
     """
     top = n - d - 1
     allowed = None if d == 1 else bytes(math.gcd(y, n) >= d for y in range(n))
     for y2 in range(d, top + 1):
         if allowed is not None and not allowed[y2]:
             continue
+        anchored = m is None or y2 % m in (0, -d % m)
         for total in (n, 2 * n):
             rest = total - d - y2
-            for y3 in range(max(y2, rest - top), rest // 2 + 1):
+            lo, hi = (y2 if y2 > rest - top else rest - top), rest // 2 + 1
+            if anchored or lo >= hi:
+                y3s = range(lo, hi)
+            else:
+                y3s = sorted({
+                    *range(lo + -lo % m, hi, m), *range(lo + (-d - lo) % m, hi, m),
+                    *range(lo + (rest - lo) % m, hi, m),
+                    *range(lo + (rest + d - lo) % m, hi, m),
+                })
+            for y3 in y3s:
                 if allowed is None or allowed[y3] and allowed[rest - y3]:
                     yield (d, y2, y3, rest - y3)
 
 
-def _quad_classes(n: int, stripes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _quad_classes(
+    n: int, stripes: tuple[int, ...], reduced: bool = False
+) -> Iterator[tuple[int, ...]]:
     """Canonical class representatives, lazily, from the stripes of the
     divisors in stripes: the stripe tuples that are their own canonical
-    form.  Ascending divisors give the classes in sorted order."""
+    form.  Ascending divisors give the classes in sorted order.  With
+    reduced, only the reduced ones, each stripe walked through its
+    anchors mod n // p for the least prime p (see the module docstring)."""
+    cofactors = tuple(n // p for p in factorize(n).prime_divisors)
     for d in stripes:
-        for quad in _stripe(n, d):
+        quads = _stripe(n, d, cofactors[0] if reduced else None)
+        if reduced:
+            quads = (q for q in quads if _is_reduced_quad_raw(n, q, cofactors))
+        for quad in quads:
             if _canonical_tuple(n, quad, d) == quad:
                 yield quad
 
@@ -225,17 +255,14 @@ def enumerate_minimal_quads(
     """Stream canonical class representatives in sorted order, lazily.
 
     The classes come from the divisor stripes of all_minimal_quad_classes.
-    A class has a unit element iff its canonical member starts with 1,
-    so require_coprime_element reads the d = 1 stripe alone.  Pattern
-    filtering implies classification, which skips classes with
-    nontrivial global gcd.
+    A class has a unit element iff its canonical member starts with 1, so
+    require_coprime_element reads the d = 1 stripe alone; require_reduced
+    walks each stripe through its anchors.  Pattern filtering implies
+    classification, which skips classes with nontrivial global gcd.
     """
     mod = factorize(n)
     stripes = (1,) if require_coprime_element else mod.divisors()[:-1]
-    cofactors = tuple(n // p for p in mod.prime_divisors)
-    for elems in _quad_classes(n, stripes):
-        if require_reduced and not _is_reduced_quad_raw(n, elems, cofactors):
-            continue
+    for elems in _quad_classes(n, stripes, require_reduced):
         if pattern is not None and math.gcd(*elems, n) != 1:
             continue
         seq = GroupSequence(mod, elems)
@@ -443,36 +470,8 @@ def search_high_index(
 
 
 def _reduced_unit_classes(n: int) -> list[tuple[int, ...]]:
-    """Sorted canonical reduced classes that contain a unit element.
-
-    The canonical member of such a class is a tuple (1, y2, y3, y4) of
-    the d = 1 stripe.  With x1 = 1, the reducedness test for the
-    cofactor m = n // p passes iff some y_j == 0 or -1 (mod m).  Taking
-    p the least prime of n, every reduced class therefore has its
-    canonical member among the stripe tuples that contain an element of
-    the anchors H = {y in [1, n-2] : y == 0 or -1 (mod m)}, which holds
-    2(p - 1) residues when m > 1.  Each y in H and each z in [1, n-2]
-    force the fourth element, so the candidates cost O(|H| n): O(p n)
-    instead of the O(n^2) stripe for composite n.  For prime n, m = 1
-    and H is every residue.  A tuple through several anchors is met more
-    than once, so the reduced canonical ones are collected in a set (a
-    handful of tuples) and sorted.
-    """
-    cofactors = tuple(n // p for p in factorize(n).prime_divisors)
-    m = cofactors[0]
-    anchors = [y for y in range(1, n - 1) if y % m in (0, m - 1)]
-    candidates = (
-        (1, *sorted((y, z, w)))
-        for y in anchors
-        for z in range(1, n - 1)
-        if 0 < (w := -(1 + y + z) % n) < n - 1
-    )
-    return sorted({
-        quad
-        for quad in candidates
-        if _is_reduced_quad_raw(n, quad, cofactors)
-        and _canonical_tuple(n, quad, 1) == quad
-    })
+    """Sorted canonical reduced classes that contain a unit element."""
+    return list(_quad_classes(n, (1,), reduced=True))
 
 
 def validate_theorem21(n: int) -> Theorem21Report:

@@ -69,7 +69,7 @@ class Modulus:
         return tuple(sorted(divs))
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=8)  # like _lift_table: a range sweep never returns to a modulus
 def _unit_mask(n: int, prime_divisors: tuple[int, ...]) -> bytes:
     mask = bytearray(b"\x01") * n
     mask[0] = 0

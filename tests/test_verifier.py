@@ -95,9 +95,9 @@ def test_enumerate_coprime_element_reads_only_the_unit_stripe(monkeypatch):
     real_stripe = verifier._stripe
     opened = []
 
-    def stripe(n, d):
+    def stripe(n, d, *rest):
         opened.append(d)
-        return real_stripe(n, d)
+        return real_stripe(n, d, *rest)
 
     monkeypatch.setattr(verifier, "_stripe", stripe)
     for n in (105, 385):
@@ -108,11 +108,28 @@ def test_enumerate_coprime_element_reads_only_the_unit_stripe(monkeypatch):
         next(enumerate_minimal_quads(n))
         assert opened == [1], n
     # with reducedness too, exactly the classes theorem 2.1 checks,
-    # including those with no normal form (all 5 at n = 385)
+    # including those with no normal form (all 5 at n = 385), against
+    # the whole d = 1 stripe filtered by reducedness
     composite = [n for n in range(4, 201) if factorize(n).prime_divisors != (n,)]
     for n in [*composite, 385, 1001]:
         stream = enumerate_minimal_quads(n, True, True)
-        assert [s.elems for s in stream] == verifier._reduced_unit_classes(n), n
+        assert [s.elems for s in stream] == _stripe_reduced_unit_classes(n), n
+
+
+def test_enumerate_reduced_matches_class_filter():
+    # the reduced enumeration walks each stripe through its anchors; the
+    # reference filters every class by reducedness.  Covers the anchored
+    # stripes d > 1, and the stripes walked in full because every residue
+    # in them is an anchor: d = n/p of a prime power, and every prime n
+    for n in [*range(4, 201), 231, 385, 455]:
+        cofactors = tuple(n // p for p in factorize(n).prime_divisors)
+        reference = [
+            elems
+            for elems in all_minimal_quad_classes(n)
+            if verifier._is_reduced_quad_raw(n, elems, cofactors)
+        ]
+        stream = enumerate_minimal_quads(n, require_reduced=True)
+        assert [s.elems for s in stream] == reference, n
 
 
 def test_verify_conjecture_25():
@@ -353,13 +370,15 @@ def test_census_keys_in_pattern_order():
 
 
 def test_range_sweep_keeps_few_lift_tables():
-    # a sweep never returns to a modulus: the lift-table cache holds about
-    # one modulus's tables, not a stale table per modulus visited
+    # a sweep never returns to a modulus: the lift-table and unit-mask
+    # caches hold about one modulus's tables, not a stale table per
+    # modulus visited
     for n in range(1001, 1401):
         mod = factorize(n)
         if mod.is_squarefree and len(mod.prime_divisors) in (3, 4):
             validate_theorem21(n)
     assert zncore._lift_table.cache_info().currsize <= 8
+    assert zncore._unit_mask.cache_info().currsize <= 8
 
 
 def test_theorem21_guards():
