@@ -11,6 +11,14 @@ of gcd d to d.  A class's canonical member lies in exactly one stripe,
 so keeping the stripe tuples that are their own canonical form yields
 each class once, in sorted order, with no set to deduplicate.
 
+Most stripe tuples are not canonical, and the image of the first
+element rules out about half of them before any candidate is sorted.
+Let q = (d, y2, y3, y4) and x = q[i], i >= 1, with gcd(x, n) = d.  Every
+unit t with t x == d sends d to the same residue img[x] = d ((x / d)^-1
+mod n / d).  No element of t q is below d, so sorted(t q) starts
+(d, <= img[x]), and img[x] < y2 makes it smaller than q: the stripe
+skips such a q.
+
 Reduced classes come from the same walk, through anchors.  With p the
 least prime of n and m = n // p, a reduced quad (d, y2, y3, y4) is not
 minimal once scaled by p, so d, some y or some d + y is 0 mod m.  If m
@@ -49,10 +57,11 @@ from .sequences import (
     GroupSequence,
     _canonical_tuple,
     _index_numerator,
+    _is_canonical,
     _min_gcd,
     _multiset_minimal_zero_sum,
 )
-from .zncore import Modulus, factorize
+from .zncore import Modulus, _lift_table, factorize
 
 
 @dataclass(frozen=True)
@@ -160,7 +169,8 @@ def _census(counts: Counter[Pattern]) -> dict[str, int]:
 
 def _stripe(n: int, d: int, m: int | None = None) -> Iterator[tuple[int, ...]]:
     """Sorted minimal zero-sum quads (d, y2, y3, y4), y4 forced, whose
-    elements all have gcd(y, n) >= d.
+    elements all have gcd(y, n) >= d, less those that the image of d
+    shows are not canonical.
 
     Such a quad is minimal iff no element equals n - d (no pair with
     the first element vanishes).  A residue y above n - d has
@@ -173,11 +183,18 @@ def _stripe(n: int, d: int, m: int | None = None) -> Iterator[tuple[int, ...]]:
     Given m, only the quads holding an anchor y == 0 or -d (mod m) are
     walked: for a y2 that is not one, y3 keeps the residues 0, -d, rest
     and rest + d mod m, the last two making y4 the anchor.
+
+    For an element y of gcd d, img[y] is the image of d under the units
+    mapping y to d, and img[y] < y2 means one of them gives a smaller
+    tuple (see the module docstring), so the tuple is skipped.  img is n
+    where gcd(y, n) > d, which no unit maps to d, and -1 where
+    gcd(y, n) < d, outside the stripe.
     """
     top = n - d - 1
-    allowed = None if d == 1 else bytes(math.gcd(y, n) >= d for y in range(n))
+    img = [n] * n if d == 1 else [n if math.gcd(y, n) > d else -1 for y in range(n)]
+    img[::d] = [d * (ts[0] % (n // d)) if ts else n for ts in _lift_table(n, d)]
     for y2 in range(d, top + 1):
-        if allowed is not None and not allowed[y2]:
+        if img[y2] < y2:
             continue
         anchored = m is None or y2 % m in (0, -d % m)
         for total in (n, 2 * n):
@@ -192,7 +209,7 @@ def _stripe(n: int, d: int, m: int | None = None) -> Iterator[tuple[int, ...]]:
                     *range(lo + (rest + d - lo) % m, hi, m),
                 })
             for y3 in y3s:
-                if allowed is None or allowed[y3] and allowed[rest - y3]:
+                if img[y3] >= y2 <= img[rest - y3]:
                     yield (d, y2, y3, rest - y3)
 
 
@@ -210,7 +227,7 @@ def _quad_classes(
         if reduced:
             quads = (q for q in quads if _is_reduced_quad_raw(n, q, cofactors))
         for quad in quads:
-            if _canonical_tuple(n, quad, d) == quad:
+            if _is_canonical(n, quad, d):
                 yield quad
 
 

@@ -306,15 +306,40 @@ def test_theorem21_1001():
     assert report.anomalies == ()
 
 
+def _unpruned_stripe(n, d):
+    # every sorted minimal zero-sum quad (d, y2, y3, y4), y4 forced, whose
+    # elements have gcd(y, n) >= d, with no pruning.  A zero-sum quad is
+    # minimal iff no element is 0 or -d: a vanishing triple leaves a zero
+    # element, and a vanishing pair leaves another, one of them holding d
+    ok = [y != n - d and math.gcd(y, n) >= d for y in range(n)]
+    ok[0] = False
+    for y2 in range(d, n):
+        if ok[y2]:
+            for y3 in range(y2, n):
+                y4 = (-d - y2 - y3) % n
+                if y4 >= y3 and ok[y3] and ok[y4]:
+                    yield (d, y2, y3, y4)
+
+
 def _stripe_reduced_unit_classes(n):
     # reference: filter the whole d = 1 stripe by reducedness and canonicity
     cofactors = tuple(n // p for p in factorize(n).prime_divisors)
     return [
         quad
-        for quad in verifier._stripe(n, 1)
+        for quad in _unpruned_stripe(n, 1)
         if verifier._is_reduced_quad_raw(n, quad, cofactors)
         and verifier._canonical_tuple(n, quad, 1) == quad
     ]
+
+
+def test_is_canonical_matches_canonical_tuple():
+    # the early-exit test against the full canonical form, on every tuple
+    # of the unpruned stripes, the ones the first-image prune drops included
+    cases = [(n, d) for n in range(4, 121) for d in factorize(n).divisors()[:-1]]
+    for n, d in [*cases, (385, 1), (1001, 1)]:
+        for quad in _unpruned_stripe(n, d):
+            expected = verifier._canonical_tuple(n, quad, d) == quad
+            assert verifier._is_canonical(n, quad, d) == expected, (n, quad)
 
 
 def test_reduced_unit_classes_match_stripe_filter():
