@@ -11,13 +11,22 @@ of gcd d to d.  A class's canonical member lies in exactly one stripe,
 so keeping the stripe tuples that are their own canonical form yields
 each class once, in sorted order, with no set to deduplicate.
 
-Most stripe tuples are not canonical, and the image of the first
-element rules out about half of them before any candidate is sorted.
+Most stripe tuples are not canonical, and the stripe tells which from
+unit images read off one table, sorting candidates only on a tie.
 Let q = (d, y2, y3, y4) and x = q[i], i >= 1, with gcd(x, n) = d.  Every
 unit t with t x == d sends d to the same residue img[x] = d ((x / d)^-1
 mod n / d).  No element of t q is below d, so sorted(t q) starts
 (d, <= img[x]), and img[x] < y2 makes it smaller than q: the stripe
-skips such a q.
+skips such a q.  If every element of q is a multiple of d, t sends each
+y to one fixed residue too, (y / d) img[x] mod n, for every lift t of
+x, because d (n / d) = n; and the lifts of d itself fix every multiple
+of d.  So sorted(t q) = (d, sorted(img[x], t y, t y')) over the other
+two elements y, y', and the nine cross images, three for each such
+x != d, decide canonicity exactly: one below y2 gives a smaller image
+of q, and all above y2 make every candidate image larger than q.  Only a
+tie, or a q with an element that is not a multiple of d (possible when
+some divisor of n above d is not a multiple of d), goes to the sorted
+test sequences._is_canonical.
 
 Reduced classes come from the same walk, through anchors.  With p the
 least prime of n and m = n // p, a reduced quad (d, y2, y3, y4) is not
@@ -167,10 +176,12 @@ def _census(counts: Counter[Pattern]) -> dict[str, int]:
     return {p.value: counts[p] for p in Pattern if counts[p]}
 
 
-def _stripe(n: int, d: int, m: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Sorted minimal zero-sum quads (d, y2, y3, y4), y4 forced, whose
-    elements all have gcd(y, n) >= d, less those that the image of d
-    shows are not canonical.
+def _stripe(
+    n: int, d: int, cofactors: tuple[int, ...] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The canonical sorted minimal zero-sum quads (d, y2, y3, y4), y4
+    forced, whose elements all have gcd(y, n) >= d; with cofactors (n // p
+    for each prime p | n, least p first), only the reduced ones.
 
     Such a quad is minimal iff no element equals n - d (no pair with
     the first element vanishes).  A residue y above n - d has
@@ -180,22 +191,34 @@ def _stripe(n: int, d: int, m: int | None = None) -> Iterator[tuple[int, ...]]:
     for a fixed y2, every y3 of total n is at most (n - d - y2) / 2, below
     n - y2 + 1, the least y3 of total 2n.
 
-    Given m, only the quads holding an anchor y == 0 or -d (mod m) are
-    walked: for a y2 that is not one, y3 keeps the residues 0, -d, rest
-    and rest + d mod m, the last two making y4 the anchor.
+    Given cofactors, only the quads holding an anchor y == 0 or -d
+    (mod m), m = cofactors[0], are walked: for a y2 that is not one, y3
+    keeps the residues 0, -d, rest and rest + d mod m, the last two
+    making y4 the anchor.  Reducedness is tested before canonicity.
 
-    For an element y of gcd d, img[y] is the image of d under the units
-    mapping y to d, and img[y] < y2 means one of them gives a smaller
-    tuple (see the module docstring), so the tuple is skipped.  img is n
-    where gcd(y, n) > d, which no unit maps to d, and -1 where
-    gcd(y, n) < d, outside the stripe.
+    For y of gcd d, img[y] = d ((y / d)^-1 mod n / d) is the image of d
+    under every unit mapping y to d; img is n where gcd(y, n) > d, which
+    no unit maps to d, and -1 where gcd(y, n) < d, outside the stripe.
+    img[y] < y2 rules a quad out at once.  When every element is a
+    multiple of d, the nine cross images (img[x] and (z // d) img[x]
+    mod n for the other two elements z, for each x in y2, y3, y4 of
+    gcd d other than d) decide canonicity (see the module docstring):
+    any below y2, not canonical; all above, canonical.  A tie, or an
+    element that is not a multiple of d, goes to the exact sorted test
+    sequences._is_canonical.
     """
     top = n - d - 1
+    m = cofactors[0] if cofactors else None
     img = [n] * n if d == 1 else [n if math.gcd(y, n) > d else -1 for y in range(n)]
     img[::d] = [d * (ts[0] % (n // d)) if ts else n for ts in _lift_table(n, d)]
     for y2 in range(d, top + 1):
-        if img[y2] < y2:
+        i2 = img[y2]
+        if i2 < y2:
             continue
+        k2, exact = y2 // d, y2 % d == 0
+        # the lifts of d itself fix every multiple of d: no cross images
+        if y2 == d:
+            i2 = n
         anchored = m is None or y2 % m in (0, -d % m)
         for total in (n, 2 * n):
             rest = total - d - y2
@@ -209,26 +232,41 @@ def _stripe(n: int, d: int, m: int | None = None) -> Iterator[tuple[int, ...]]:
                     *range(lo + (rest + d - lo) % m, hi, m),
                 })
             for y3 in y3s:
-                if img[y3] >= y2 <= img[rest - y3]:
-                    yield (d, y2, y3, rest - y3)
+                y4 = rest - y3
+                i3, i4 = img[y3], img[y4]
+                if i3 < y2 or i4 < y2:
+                    continue
+                quad = (d, y2, y3, y4)
+                if cofactors and not _is_reduced_quad_raw(n, quad, cofactors):
+                    continue
+                if not exact or y3 % d:
+                    if _is_canonical(n, quad, d):
+                        yield quad
+                    continue
+                k3, k4 = y3 // d, y4 // d
+                low = n
+                if i2 < n:
+                    low = min(i2, k3 * i2 % n, k4 * i2 % n)
+                if i3 < n:
+                    low = min(low, i3, k2 * i3 % n, k4 * i3 % n)
+                if i4 < n:
+                    low = min(low, i4, k2 * i4 % n, k3 * i4 % n)
+                if low > y2 or low == y2 and _is_canonical(n, quad, d):
+                    yield quad
 
 
 def _quad_classes(
     n: int, stripes: tuple[int, ...], reduced: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """Canonical class representatives, lazily, from the stripes of the
-    divisors in stripes: the stripe tuples that are their own canonical
-    form.  Ascending divisors give the classes in sorted order.  With
-    reduced, only the reduced ones, each stripe walked through its
-    anchors mod n // p for the least prime p (see the module docstring)."""
-    cofactors = tuple(n // p for p in factorize(n).prime_divisors)
+    divisors in stripes.  Ascending divisors give the classes in sorted
+    order.  With reduced, only the reduced ones, each stripe walked
+    through its anchors mod n // p for the least prime p (see the module
+    docstring)."""
+    primes = factorize(n).prime_divisors
+    cofactors = tuple(n // p for p in primes) if reduced else None
     for d in stripes:
-        quads = _stripe(n, d, cofactors[0] if reduced else None)
-        if reduced:
-            quads = (q for q in quads if _is_reduced_quad_raw(n, q, cofactors))
-        for quad in quads:
-            if _is_canonical(n, quad, d):
-                yield quad
+        yield from _stripe(n, d, cofactors)
 
 
 def all_minimal_quad_classes(n: int) -> list[tuple[int, ...]]:

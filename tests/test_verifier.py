@@ -342,6 +342,23 @@ def test_is_canonical_matches_canonical_tuple():
             assert verifier._is_canonical(n, quad, d) == expected, (n, quad)
 
 
+def test_stripe_yields_exactly_its_canonical_quads():
+    # the cross-image certificate against the full canonical form, on
+    # every proper divisor of n <= 120, the unit stripes of 385 and 1001,
+    # and every stripe of 105 and 1001, where some divisor above d is not
+    # a multiple of d and the sorted fallback runs
+    cases = [(n, d) for n in range(4, 121) for d in factorize(n).divisors()[:-1]]
+    cases += [(385, 1)]
+    cases += [(n, d) for n in (105, 1001) for d in factorize(n).divisors()[:-1]]
+    for n, d in cases:
+        expected = [
+            quad
+            for quad in _unpruned_stripe(n, d)
+            if verifier._canonical_tuple(n, quad, d) == quad
+        ]
+        assert list(verifier._stripe(n, d)) == expected, (n, d)
+
+
 def test_reduced_unit_classes_match_stripe_filter():
     # prime powers, even n, and three- and four-prime moduli, the inputs
     # the validators pass; a prime n makes every residue an anchor, so
