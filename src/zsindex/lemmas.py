@@ -89,12 +89,17 @@ def lemma33_cond1(quad: NormalizedQuad) -> LemmaOutcome:
     """Certificate: coprime m in [kn/c, kn/b] with 1 <= k <= b and ma < n.
 
     Such an m makes the norm under m collapse to exactly n.  Scans k
-    ascending and m ascending, so the witness is the first hit.
+    ascending and m ascending, so the witness is the first hit.  The
+    scan stops at the first k with ceil(kn/c) > m_cap = (n-1)//a: the
+    lower end never decreases as k grows and the upper end is at most
+    m_cap, so every later m-range is empty.
     """
     n, a, b, c = quad.n, quad.a, quad.b, quad.c
     m_cap = (n - 1) // a
     for k in range(1, b + 1):
         lo = _ceil_div(k * n, c)
+        if lo > m_cap:
+            break
         hi = min(k * n // b, m_cap)
         for m in range(lo, hi + 1):
             if math.gcd(m, n) == 1:
@@ -124,12 +129,11 @@ def lemma34_cond(quad: NormalizedQuad) -> LemmaOutcome:
 
     The final clause is suspected of being misstated at the source; the
     sweeps therefore report exceptions to this condition as findings
-    rather than failures.
+    rather than failures.  The clause a <= kn/b, that is ab <= kn, holds
+    exactly for k >= ceil(ab/n), so the k-scan starts there.
     """
     n, a, b, c = quad.n, quad.a, quad.b, quad.c
-    for k in range(1, b + 1):
-        if a * b > k * n:
-            continue
+    for k in range(max(1, _ceil_div(a * b, n)), b + 1):
         lo = _ceil_div(k * n, c)
         hi = k * n // b
         for m in range(lo, hi + 1):
@@ -196,13 +200,21 @@ def omega_build(quad: NormalizedQuad, alt_lower: bool = False) -> list[IntervalQ
 
 def compute_k1(quad: NormalizedQuad) -> int:
     """Largest k <= b with ceil((k-1)n/c) = ceil((k-1)n/b) and an integer
-    in [kn/c, kn/b); defined only when ceil(n/c) = ceil(n/b)."""
+    in [kn/c, kn/b); defined only when ceil(n/c) = ceil(n/b).
+
+    A k with (k-1)n(c-b) >= bc cannot qualify: then [(k-1)n/c, (k-1)n/b)
+    has length >= 1, so it holds an integer and ceil((k-1)n/c) <
+    ceil((k-1)n/b).  Every k above ceil(bc / (n(c-b))) is such a k
+    (c > b in normal form), so the downward scan starts at the smaller
+    of that bound and b.
+    """
     n, b, c = quad.n, quad.b, quad.c
     if _ceil_div(n, c) != _ceil_div(n, b):
         raise CeilMismatch(
             f"ceil(n/c) = {_ceil_div(n, c)} != ceil(n/b) = {_ceil_div(n, b)}"
         )
-    for k in range(b, 0, -1):
+    start = min(b, (b * c - 1) // (n * (c - b)) + 1)
+    for k in range(start, 0, -1):
         if _ceil_div((k - 1) * n, c) != _ceil_div((k - 1) * n, b):
             continue
         lo = _ceil_div(k * n, c)

@@ -116,19 +116,23 @@ def _index_numerator(n: int, elems: tuple[int, ...], mask: bytes) -> tuple[int, 
 
     Scans units in increasing order and stops early once the norm hits
     the theoretical floor (the least multiple of n that is >= k for a
-    zero-sum sequence, k otherwise), which no unit can beat.
+    zero-sum sequence, k otherwise), which no unit can beat.  The first
+    unit is t = 1, whose norm is the plain sum of elements in [1, n-1],
+    so a sum at the floor returns before the scan of t >= 2.
     """
     k = len(elems)
-    floor_sum = n * ((k + n - 1) // n) if sum(elems) % n == 0 else k
-    best = 0
-    witness = 0
-    for t in range(1, n):
+    best = sum(elems)
+    witness = 1
+    floor_sum = n * ((k + n - 1) // n) if best % n == 0 else k
+    if best <= floor_sum:
+        return best, witness
+    for t in range(2, n):
         if not mask[t]:
             continue
         total = 0
         for x in elems:
             total += t * x % n
-        if witness == 0 or total < best:
+        if total < best:
             best = total
             witness = t
             if total <= floor_sum:

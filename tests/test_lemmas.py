@@ -32,6 +32,7 @@ from zsindex import (
     remark32_check,
     structure_params,
 )
+from zsindex.classify import _normal_form_quads
 
 
 def test_interval_integers_examples():
@@ -231,3 +232,67 @@ def test_conditions_sound_on_small_moduli():
                     fired.append(lemma35_cond(quad).fired)
                 if any(fired):
                     assert value == 1, (n, a, b, c)
+
+
+def _ref_lemma33_cond1(n, a, b, c):
+    # unbounded k-scan: every k in [1, b], empty m-ranges included
+    m_cap = (n - 1) // a
+    for k in range(1, b + 1):
+        lo = -((-k * n) // c)
+        hi = min(k * n // b, m_cap)
+        for m in range(lo, hi + 1):
+            if math.gcd(m, n) == 1:
+                return True, (k, m)
+    return False, None
+
+
+def _ref_lemma34_cond(n, a, b, c):
+    # unbounded k-scan: every k in [1, b], skipping those with ab > kn
+    for k in range(1, b + 1):
+        if a * b > k * n:
+            continue
+        lo = -((-k * n) // c)
+        hi = k * n // b
+        for m in range(lo, hi + 1):
+            if math.gcd(m, n) == 1:
+                return True, (k, m)
+    return False, None
+
+
+def _ref_compute_k1(n, b, c):
+    # unbounded downward k-scan from b; the exception type is the result
+    def ceil_div(p, q):
+        return -((-p) // q)
+
+    if ceil_div(n, c) != ceil_div(n, b):
+        return CeilMismatch
+    for k in range(b, 0, -1):
+        if ceil_div((k - 1) * n, c) != ceil_div((k - 1) * n, b):
+            continue
+        if ceil_div(k * n, c) <= ceil_div(k * n, b) - 1:
+            return k
+    return InvariantViolated
+
+
+def _k1_or_error(quad):
+    try:
+        return compute_k1(quad)
+    except (CeilMismatch, InvariantViolated) as exc:
+        return type(exc)
+
+
+def test_bounded_k_scans_match_unbounded_references():
+    # the scans of 33.1, 34 and compute_k1 start and stop at bounds their
+    # intervals imply; every normal form of n = 5..150, 420 and 1013 must
+    # give the witness, fired flag and k1 of the full scans
+    forms = 0
+    for n in [*range(5, 151), 420, 1013]:
+        for quad in _normal_form_quads(n):
+            forms += 1
+            a, b, c = quad.a, quad.b, quad.c
+            out = lemma33_cond1(quad)
+            assert (out.fired, out.witness) == _ref_lemma33_cond1(n, a, b, c), quad
+            out = lemma34_cond(quad)
+            assert (out.fired, out.witness) == _ref_lemma34_cond(n, a, b, c), quad
+            assert _k1_or_error(quad) == _ref_compute_k1(n, b, c), quad
+    assert forms > 140_000

@@ -15,15 +15,18 @@ from zsindex import (
     NotAPrimeDivisor,
     NotAUnit,
     NotMinimal,
+    all_minimal_quad_classes,
     canonical_rep,
     factorize,
     index_of,
     is_minimal_zero_sum,
     is_reduced,
     is_zero_sum,
+    iter_minimal_tuples,
     scale_seq,
     seq_norm,
 )
+from zsindex.sequences import _index_numerator
 
 
 def _seq(n, values):
@@ -187,3 +190,30 @@ def test_orbit_double_count_n25():
             {tuple(sorted((u * x - 1) % n + 1 for x in rep)) for u in units}
         )
     assert orbit_total == len(all_quads)
+
+
+def _plain_index_scan(n, elems):
+    # every unit in increasing order; the first one reaching the minimum
+    best = witness = 0
+    for t in range(1, n):
+        if math.gcd(t, n) != 1:
+            continue
+        total = sum(t * x % n for x in elems)
+        if witness == 0 or total < best:
+            best, witness = total, t
+    return best, witness
+
+
+def test_index_kernel_matches_plain_scan():
+    # the kernel returns at t = 1 when the plain sum meets the floor, and
+    # otherwise stops at the floor; both must give the plain scan's result
+    checked = 0
+    for n in range(2, 151):
+        mask = factorize(n).unit_mask()
+        tuples = list(all_minimal_quad_classes(n))
+        if n <= 20:
+            tuples += list(iter_minimal_tuples(n, 6))
+        for elems in tuples:
+            assert _index_numerator(n, elems, mask) == _plain_index_scan(n, elems), (n, elems)
+            checked += 1
+    assert checked > 10_000
