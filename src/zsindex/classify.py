@@ -83,18 +83,24 @@ class NormalizedQuad:
     @property
     def elems(self) -> tuple[int, int, int, int]:
         """The denormalized quad (1, c, n-b, n-a), sorted."""
-        return (1, self.c, self.n - self.b, self.n - self.a)
+        return _quad_elems(self.n, self.a, self.b, self.c)
 
 
-def _normal_form_quads(n: int) -> Iterator[NormalizedQuad]:
-    """Every parameter triple of the normal form over Z_n, by c then b.
+def _quad_elems(n: int, a: int, b: int, c: int) -> tuple[int, int, int, int]:
+    """The sorted quad (1, c, n-b, n-a) of the normal form (a, b, c)."""
+    return (1, c, n - b, n - a)
+
+
+def _normal_form_quads(n: int) -> Iterator[tuple[int, int, int]]:
+    """Every parameter triple (a, b, c) of the normal form over Z_n, by c
+    then b.
 
     For each c the range of b is exactly the one where a = c + 1 - b
     satisfies 2 <= a <= b.
     """
     for c in range(2, (n - 1) // 2 + 1):
         for b in range((c + 2) // 2, c):
-            yield NormalizedQuad(n, c + 1 - b, b, c)
+            yield c + 1 - b, b, c
 
 
 def denormalize(quad: NormalizedQuad) -> GroupSequence:

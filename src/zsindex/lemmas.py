@@ -4,6 +4,10 @@ Each condition searches for a coprime multiplier inside an exact
 rational interval derived from the normal-form parameters (a, b, c).
 All arithmetic is exact: intervals carry Fractions, and the searches
 use integer ceil/floor divisions equivalent to the rational bounds.
+
+Each condition has one kernel on plain integers that returns its first
+witness, or None when it does not fire; the lemma sweep reads the
+kernels, and the public functions wrap them in a LemmaOutcome.
 """
 
 from __future__ import annotations
@@ -85,16 +89,20 @@ def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def lemma33_cond1(quad: NormalizedQuad) -> LemmaOutcome:
-    """Certificate: coprime m in [kn/c, kn/b] with 1 <= k <= b and ma < n.
+def _outcome(lemma_id: str, witness: tuple[int, ...] | None) -> LemmaOutcome:
+    """Wrap a kernel's witness, naming its entries in the detail."""
+    if witness is None:
+        return LemmaOutcome(lemma_id, False)
+    names = {"33.1": "km", "33.2": "M", "34": "km", "35": "tm"}[lemma_id]
+    detail = ", ".join(f"{x}={v}" for x, v in zip(names, witness))
+    return LemmaOutcome(lemma_id, True, witness, detail)
 
-    Such an m makes the norm under m collapse to exactly n.  Scans k
-    ascending and m ascending, so the witness is the first hit.  The
-    scan stops at the first k with ceil(kn/c) > m_cap = (n-1)//a: the
-    lower end never decreases as k grows and the upper end is at most
-    m_cap, so every later m-range is empty.
-    """
-    n, a, b, c = quad.n, quad.a, quad.b, quad.c
+
+def _lemma33_cond1(n: int, a: int, b: int, c: int) -> tuple[int, int] | None:
+    """The first (k, m) of 33.1, by k then m ascending.  The scan stops
+    at the first k with ceil(kn/c) > m_cap = (n-1)//a: the lower end
+    never decreases as k grows and the upper end is at most m_cap, so
+    every later m-range is empty."""
     m_cap = (n - 1) // a
     for k in range(1, b + 1):
         lo = _ceil_div(k * n, c)
@@ -103,14 +111,12 @@ def lemma33_cond1(quad: NormalizedQuad) -> LemmaOutcome:
         hi = min(k * n // b, m_cap)
         for m in range(lo, hi + 1):
             if math.gcd(m, n) == 1:
-                return LemmaOutcome("33.1", True, (k, m), f"k={k}, m={m}")
-    return LemmaOutcome("33.1", False)
+                return k, m
+    return None
 
 
-def lemma33_cond2(quad: NormalizedQuad) -> LemmaOutcome:
-    """Certificate: unit M <= n/2 with two of |Ma|, |Mb| above n/2 or
-    |Mc| below n/2 (at least two of the three inequalities)."""
-    n, a, b, c = quad.n, quad.a, quad.b, quad.c
+def _lemma33_cond2(n: int, a: int, b: int, c: int) -> tuple[int] | None:
+    """The least unit M of 33.2."""
     for big_m in range(1, n // 2 + 1):
         if math.gcd(big_m, n) != 1:
             continue
@@ -119,8 +125,65 @@ def lemma33_cond2(quad: NormalizedQuad) -> LemmaOutcome:
         rc = big_m * c % n
         hits = (2 * ra > n) + (2 * rb > n) + (2 * rc < n)
         if hits >= 2:
-            return LemmaOutcome("33.2", True, (big_m,), f"M={big_m}")
-    return LemmaOutcome("33.2", False)
+            return (big_m,)
+    return None
+
+
+def _lemma34_cond(n: int, a: int, b: int, c: int) -> tuple[int, int] | None:
+    """The first (k, m) of 34, by k then m ascending.  The clause
+    a <= kn/b, that is ab <= kn, holds exactly for k >= ceil(ab/n), so
+    the k-scan starts there."""
+    for k in range(max(1, _ceil_div(a * b, n)), b + 1):
+        lo = _ceil_div(k * n, c)
+        hi = k * n // b
+        for m in range(lo, hi + 1):
+            if math.gcd(m, n) == 1:
+                return k, m
+    return None
+
+
+def _lemma35_cond(n: int, a: int, b: int) -> tuple[int, int] | None:
+    """The first (t, m) of 35, by t then m ascending; None when s < 2,
+    where t has no admissible value."""
+    s = b // a
+    for t in range(s // 2):
+        lo = _ceil_div((2 * s - 2 * t - 1) * n, 2 * b)
+        hi = (s - t) * n // b
+        for m in range(lo, hi + 1):
+            if math.gcd(m, n) == 1:
+                return t, m
+    return None
+
+
+def _witnesses(
+    n: int, a: int, b: int, c: int
+) -> list[tuple[str, tuple[int, ...] | None]]:
+    """The (lemma_id, witness) pairs of the conditions that apply to the
+    normal form (a, b, c): 33.1, 33.2 and 34 always, 35 when s = b // a
+    >= 2.  The witness is None where the condition does not fire."""
+    pairs = [
+        ("33.1", _lemma33_cond1(n, a, b, c)),
+        ("33.2", _lemma33_cond2(n, a, b, c)),
+        ("34", _lemma34_cond(n, a, b, c)),
+    ]
+    if b // a >= 2:
+        pairs.append(("35", _lemma35_cond(n, a, b)))
+    return pairs
+
+
+def lemma33_cond1(quad: NormalizedQuad) -> LemmaOutcome:
+    """Certificate: coprime m in [kn/c, kn/b] with 1 <= k <= b and ma < n.
+
+    Such an m makes the norm under m collapse to exactly n.  The witness
+    is the first hit, scanning k ascending and m ascending.
+    """
+    return _outcome("33.1", _lemma33_cond1(quad.n, quad.a, quad.b, quad.c))
+
+
+def lemma33_cond2(quad: NormalizedQuad) -> LemmaOutcome:
+    """Certificate: unit M <= n/2 with two of |Ma|, |Mb| above n/2 or
+    |Mc| below n/2 (at least two of the three inequalities)."""
+    return _outcome("33.2", _lemma33_cond2(quad.n, quad.a, quad.b, quad.c))
 
 
 def lemma34_cond(quad: NormalizedQuad) -> LemmaOutcome:
@@ -129,17 +192,9 @@ def lemma34_cond(quad: NormalizedQuad) -> LemmaOutcome:
 
     The final clause is suspected of being misstated at the source; the
     sweeps therefore report exceptions to this condition as findings
-    rather than failures.  The clause a <= kn/b, that is ab <= kn, holds
-    exactly for k >= ceil(ab/n), so the k-scan starts there.
+    rather than failures.
     """
-    n, a, b, c = quad.n, quad.a, quad.b, quad.c
-    for k in range(max(1, _ceil_div(a * b, n)), b + 1):
-        lo = _ceil_div(k * n, c)
-        hi = k * n // b
-        for m in range(lo, hi + 1):
-            if math.gcd(m, n) == 1:
-                return LemmaOutcome("34", True, (k, m), f"k={k}, m={m}")
-    return LemmaOutcome("34", False)
+    return _outcome("34", _lemma34_cond(quad.n, quad.a, quad.b, quad.c))
 
 
 def compute_s(quad: NormalizedQuad) -> int:
@@ -150,35 +205,24 @@ def compute_s(quad: NormalizedQuad) -> int:
 def lemma35_cond(quad: NormalizedQuad) -> LemmaOutcome:
     """Certificate: coprime integer in [(2s-2t-1)n/2b, (s-t)n/b] for some
     t in [0, floor(s/2) - 1]; requires s >= 2."""
-    n, b = quad.n, quad.b
     s = compute_s(quad)
     if s < 2:
         raise SNotLargeEnough(f"s = {s} < 2 for (a, b) = ({quad.a}, {quad.b})")
-    for t in range(s // 2):
-        lo = _ceil_div((2 * s - 2 * t - 1) * n, 2 * b)
-        hi = (s - t) * n // b
-        for m in range(lo, hi + 1):
-            if math.gcd(m, n) == 1:
-                return LemmaOutcome("35", True, (t, m), f"t={t}, m={m}")
-    return LemmaOutcome("35", False)
+    return _outcome("35", _lemma35_cond(quad.n, quad.a, quad.b))
 
 
 def _conditions(quad: NormalizedQuad) -> list[LemmaOutcome]:
-    """The outcomes of the conditions that apply to a normal form: 33.1,
-    33.2 and 34 always, 35 when s >= 2."""
-    outcomes = [lemma33_cond1(quad), lemma33_cond2(quad), lemma34_cond(quad)]
-    if compute_s(quad) >= 2:
-        outcomes.append(lemma35_cond(quad))
-    return outcomes
+    """The outcomes of the conditions that apply to a normal form."""
+    return [
+        _outcome(lemma_id, witness)
+        for lemma_id, witness in _witnesses(quad.n, quad.a, quad.b, quad.c)
+    ]
 
 
 def assumption_b(quad: NormalizedQuad) -> bool:
     """True when no admissible t yields a coprime integer in the t-th
     interval of omega_build; vacuously true when s < 2."""
-    s = compute_s(quad)
-    if s < 2:
-        return True
-    return not lemma35_cond(quad).fired
+    return _lemma35_cond(quad.n, quad.a, quad.b) is None
 
 
 def omega_build(quad: NormalizedQuad, alt_lower: bool = False) -> list[IntervalQ]:

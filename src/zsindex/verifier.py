@@ -54,14 +54,16 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .classify import (
+    NormalizedQuad,
     Pattern,
     _match_gcd_pattern,
     _normal_form_quads,
+    _quad_elems,
     classify_pattern,
     normalize_quad,
 )
 from .errors import CeilMismatch, InvariantViolated, PreconditionViolated
-from .lemmas import _conditions, compute_k1, compute_s, remark32_check
+from .lemmas import _witnesses, compute_k1, remark32_check
 from .sequences import (
     GroupSequence,
     _canonical_tuple,
@@ -589,7 +591,7 @@ def validate_theorem21(n: int) -> Theorem21Report:
 
 def validate_lemmas(n: int) -> LemmaSweepReport:
     """Sweep every normalized quad over Z_n through the conditions that
-    apply to it (lemmas._conditions).
+    apply to it (lemmas._witnesses).
 
     A condition firing while the oracle index exceeds 1 is recorded as a
     violation (as a finding for the condition with the suspect final
@@ -609,21 +611,20 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
     quad_count = 0
     s_applicable = 0
     probes_on = n > 1000
-    for quad in _normal_form_quads(n):
-        a, b, c = quad.a, quad.b, quad.c
+    for a, b, c in _normal_form_quads(n):
         quad_count += 1
-        elems = quad.elems
+        elems = _quad_elems(n, a, b, c)
         num, _ = _index_numerator(n, elems, mask)
         value = num // n
-        s = compute_s(quad)
+        s = b // a
         s_applicable += s >= 2
-        fired_ids = set()
-        for outcome in _conditions(quad):
-            if not outcome.fired:
+        fired_35 = False
+        for name, witness in _witnesses(n, a, b, c):
+            if witness is None:
                 continue
-            name = outcome.lemma_id
-            fired_ids.add(name)
             fired[name] += 1
+            if name == "35":
+                fired_35 = True
             if value == 1:
                 continue
             record = Counterexample(
@@ -631,17 +632,17 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
                 elems=elems,
                 index_numerator=num,
                 context=f"lemma-{name}",
-                detail=f"(a,b,c)=({a},{b},{c}), witness {outcome.witness}",
+                detail=f"(a,b,c)=({a},{b},{c}), witness {witness}",
             )
             if name == "34":
                 findings_34.append(record)
             else:
                 violations[name].append(record)
-        if probes_on and "35" not in fired_ids:
+        if probes_on and not fired_35:
             if s > 9:
                 probe_s.append((n, a, b, c))
             try:
-                k1 = compute_k1(quad)
+                k1 = compute_k1(NormalizedQuad(n, a, b, c))
                 if k1 > 6:
                     probe_k1.append((n, a, b, c))
             except InvariantViolated:

@@ -11,6 +11,7 @@ from zsindex import (
     HypothesisViolated,
     IntervalQ,
     InvariantViolated,
+    LemmaOutcome,
     NormalizedQuad,
     Pattern,
     PatternClass,
@@ -259,6 +260,35 @@ def _ref_lemma34_cond(n, a, b, c):
     return False, None
 
 
+def _ref_lemma33_cond2(n, a, b, c):
+    # every M in [1, n/2], the three inequalities on exact rationals
+    half = Fraction(n, 2)
+    for big_m in range(1, n // 2 + 1):
+        if math.gcd(big_m, n) != 1:
+            continue
+        hits = [
+            big_m * a % n > half,
+            big_m * b % n > half,
+            big_m * c % n < half,
+        ]
+        if hits.count(True) >= 2:
+            return True, (big_m,)
+    return False, None
+
+
+def _ref_lemma35_cond(n, a, b):
+    # a window one wider than the interval of t on each side, each m
+    # tested against the exact rational endpoints
+    s = b // a
+    for t in range(s // 2):
+        lo = Fraction((2 * s - 2 * t - 1) * n, 2 * b)
+        hi = Fraction((s - t) * n, b)
+        for m in range(math.floor(lo) - 1, math.ceil(hi) + 2):
+            if lo <= m <= hi and math.gcd(m, n) == 1:
+                return True, (t, m)
+    return False, None
+
+
 def _ref_compute_k1(n, b, c):
     # unbounded downward k-scan from b; the exception type is the result
     def ceil_div(p, q):
@@ -284,15 +314,34 @@ def _k1_or_error(quad):
 def test_bounded_k_scans_match_unbounded_references():
     # the scans of 33.1, 34 and compute_k1 start and stop at bounds their
     # intervals imply; every normal form of n = 5..150, 420 and 1013 must
-    # give the witness, fired flag and k1 of the full scans
+    # give the witness, fired flag and k1 of the full scans, and the
+    # public wrappers of all four conditions must agree with the
+    # references
     forms = 0
     for n in [*range(5, 151), 420, 1013]:
-        for quad in _normal_form_quads(n):
+        for a, b, c in _normal_form_quads(n):
             forms += 1
-            a, b, c = quad.a, quad.b, quad.c
+            quad = NormalizedQuad(n, a, b, c)
             out = lemma33_cond1(quad)
             assert (out.fired, out.witness) == _ref_lemma33_cond1(n, a, b, c), quad
+            out = lemma33_cond2(quad)
+            assert (out.fired, out.witness) == _ref_lemma33_cond2(n, a, b, c), quad
             out = lemma34_cond(quad)
             assert (out.fired, out.witness) == _ref_lemma34_cond(n, a, b, c), quad
+            if b // a >= 2:
+                out = lemma35_cond(quad)
+                assert (out.fired, out.witness) == _ref_lemma35_cond(n, a, b), quad
             assert _k1_or_error(quad) == _ref_compute_k1(n, b, c), quad
     assert forms > 140_000
+
+
+def test_wrapper_outcomes_pinned():
+    # every field of each public wrapper's outcome, the detail included
+    quad = NormalizedQuad(11, 2, 4, 5)
+    assert [lemma33_cond1(quad), lemma33_cond2(quad), lemma34_cond(quad),
+            lemma35_cond(quad)] == [
+        LemmaOutcome("33.1", True, (2, 5), "k=2, m=5"),
+        LemmaOutcome("33.2", True, (3,), "M=3"),
+        LemmaOutcome("34", True, (2, 5), "k=2, m=5"),
+        LemmaOutcome("35", True, (0, 5), "t=0, m=5"),
+    ]

@@ -1,6 +1,7 @@
 """Tests for enumeration, conjecture verification, witness search, and
 the empirical validators."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -8,16 +9,27 @@ from itertools import combinations_with_replacement
 import pytest
 
 from zsindex import (
+    CeilMismatch,
     Counterexample,
     GroupSequence,
+    InvariantViolated,
+    LemmaSweepReport,
+    NormalizedQuad,
     Pattern,
     PreconditionViolated,
     all_minimal_quad_classes,
     canonical_rep,
     classify_pattern,
+    compute_k1,
+    compute_s,
+    denormalize,
     enumerate_minimal_quads,
     factorize,
     index_of,
+    lemma33_cond1,
+    lemma33_cond2,
+    lemma34_cond,
+    lemma35_cond,
     is_minimal_zero_sum,
     is_reduced,
     iter_minimal_tuples,
@@ -32,6 +44,7 @@ from zsindex import (
     verify_many,
     zncore,
 )
+from zsindex.classify import _normal_form_quads
 
 
 def test_decomposition_matches_naive_spot():
@@ -464,6 +477,79 @@ def test_validate_lemmas_k1_probe_propagates_unexpected_errors(monkeypatch):
     monkeypatch.setattr(verifier, "compute_k1", broken)
     with pytest.raises(TypeError, match="not a documented"):
         validate_lemmas(1001)
+
+
+def _ref_validate_lemmas(n):
+    # the sweep as one outcome object per condition and one index_of per
+    # normal form, through the public wrappers
+    fired = {"33.1": 0, "33.2": 0, "34": 0, "35": 0}
+    violations = {"33.1": [], "33.2": [], "35": []}
+    findings_34 = []
+    probe_s = []
+    probe_k1 = []
+    k1_undefined = 0
+    quad_count = 0
+    s_applicable = 0
+    for a, b, c in _normal_form_quads(n):
+        quad = NormalizedQuad(n, a, b, c)
+        quad_count += 1
+        result = index_of(denormalize(quad))
+        s = compute_s(quad)
+        s_applicable += s >= 2
+        outcomes = [lemma33_cond1(quad), lemma33_cond2(quad), lemma34_cond(quad)]
+        if s >= 2:
+            outcomes.append(lemma35_cond(quad))
+        fired_ids = set()
+        for outcome in outcomes:
+            if not outcome.fired:
+                continue
+            name = outcome.lemma_id
+            fired_ids.add(name)
+            fired[name] += 1
+            if result.value == 1:
+                continue
+            record = Counterexample(
+                n=n,
+                elems=quad.elems,
+                index_numerator=result.numerator,
+                context=f"lemma-{name}",
+                detail=f"(a,b,c)=({a},{b},{c}), witness {outcome.witness}",
+            )
+            (findings_34 if name == "34" else violations[name]).append(record)
+        if n > 1000 and "35" not in fired_ids:
+            if s > 9:
+                probe_s.append((n, a, b, c))
+            try:
+                if compute_k1(quad) > 6:
+                    probe_k1.append((n, a, b, c))
+            except InvariantViolated:
+                k1_undefined += 1
+            except CeilMismatch:
+                pass
+    return LemmaSweepReport(
+        n=n,
+        quad_count=quad_count,
+        fired=fired,
+        violations={k: tuple(v) for k, v in violations.items()},
+        findings_34=tuple(findings_34),
+        probe_s_violations=tuple(probe_s),
+        probe_k1_violations=tuple(probe_k1),
+        k1_undefined=k1_undefined,
+        vacuous={"lemma35": s_applicable == 0, "probes": n <= 1000},
+        elapsed=0.0,
+    )
+
+
+def test_validate_lemmas_matches_outcome_sweep():
+    # the kernel sweep against the wrapper sweep, field for field; even n
+    # and multiples of 3 bring violations and findings, 1001 the probes
+    seen = {"violations": 0, "findings_34": 0}
+    for n in [*range(5, 131), 420, 1001]:
+        got = dataclasses.asdict(dataclasses.replace(validate_lemmas(n), elapsed=0.0))
+        assert got == dataclasses.asdict(_ref_validate_lemmas(n)), n
+        seen["violations"] += sum(map(len, got["violations"].values()))
+        seen["findings_34"] += len(got["findings_34"])
+    assert min(seen.values()) > 0
 
 
 def test_three_prime_moduli_window():
