@@ -20,7 +20,6 @@ from .errors import (
     PreconditionViolated,
 )
 from .sequences import GroupSequence, is_minimal_zero_sum
-from .zncore import _lift_table
 
 
 class Pattern(Enum):
@@ -131,8 +130,7 @@ def normalize_quad(seq: GroupSequence) -> NormalizedQuad | None:
     n = seq.n
     if seq.k != 4 or not is_minimal_zero_sum(seq):
         raise PreconditionViolated("normalization needs a minimal zero-sum quad")
-    lifts = _lift_table(n, 1)
-    candidates = sorted({t for x in seq.elems for t in lifts[x]})
+    candidates = sorted({pow(x, -1, n) for x in seq.elems if math.gcd(x, n) == 1})
     if not candidates:
         raise NoCoprimeElement(f"no element of {seq.elems} is a unit mod {n}")
     for t in candidates:

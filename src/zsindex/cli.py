@@ -260,13 +260,13 @@ def _load_cache(path: str, digest: str, strict: bool) -> dict[int, dict]:
                 )
             continue
         try:
-            n, status = int(rec["n"]), rec["status"]
-        except (KeyError, TypeError, ValueError, OverflowError):
-            status = None
-        if status in ("verified", "counterexample"):
-            records[n] = {**rec, "n": n}
-        elif status != "error":
+            n, status = rec["n"], rec["status"]
+        except (KeyError, TypeError):
+            n = status = None
+        if type(n) is not int or status not in ("verified", "counterexample", "error"):
             print(f"warning: malformed cache record on line {i + 1}", file=sys.stderr)
+        elif status != "error":
+            records[n] = rec
     if truncate_at is not None:
         os.truncate(path, sum(len(raw) for raw in lines[:truncate_at]))
     return records

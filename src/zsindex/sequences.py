@@ -210,26 +210,6 @@ def _canonical_tuple(n: int, elems: tuple[int, ...], d: int) -> tuple[int, ...]:
     return best
 
 
-def _is_canonical(n: int, quad: tuple[int, ...], d: int) -> bool:
-    """Whether the sorted quad equals _canonical_tuple(n, quad, d).
-
-    Stops at the first candidate image below quad.  A repeated element
-    has the same lifts, and for d == 1 the element 1 lifts only to t = 1,
-    whose image is quad itself, so both are skipped.
-    """
-    lifts = _lift_table(n, d)
-    target = list(quad)
-    prev = d if d == 1 else 0
-    for x in quad:
-        if x == prev or x % d:
-            continue
-        prev = x
-        for t in lifts[x // d]:
-            if sorted([t * y % n for y in quad]) < target:
-                return False
-    return True
-
-
 def _min_gcd(n: int, elems: tuple[int, ...]) -> int:
     return min(math.gcd(x, n) for x in elems)
 

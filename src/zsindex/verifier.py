@@ -12,7 +12,7 @@ so keeping the stripe tuples that are their own canonical form yields
 each class once, in sorted order, with no set to deduplicate.
 
 Most stripe tuples are not canonical, and the stripe tells which from
-unit images read off one table, sorting candidates only on a tie.
+unit images read off one table of modular inverses.
 Let q = (d, y2, y3, y4) and x = q[i], i >= 1, with gcd(x, n) = d.  Every
 unit t with t x == d sends d to the same residue img[x] = d ((x / d)^-1
 mod n / d).  No element of t q is below d, so sorted(t q) starts
@@ -20,13 +20,15 @@ mod n / d).  No element of t q is below d, so sorted(t q) starts
 skips such a q.  If every element of q is a multiple of d, t sends each
 y to one fixed residue too, (y / d) img[x] mod n, for every lift t of
 x, because d (n / d) = n; and the lifts of d itself fix every multiple
-of d.  So sorted(t q) = (d, sorted(img[x], t y, t y')) over the other
-two elements y, y', and the nine cross images, three for each such
-x != d, decide canonicity exactly: one below y2 gives a smaller image
-of q, and all above y2 make every candidate image larger than q.  Only a
-tie, or a q with an element that is not a multiple of d (possible when
-some divisor of n above d is not a multiple of d), goes to the sorted
-test sequences._is_canonical.
+of d.  So the candidate images of q are q itself and, for each such
+x != d, (d, sorted(img[x], t y, t y')) over the other two elements y,
+y', and q is canonical iff each of these (at most three) sorted triples
+is at least (y2, y3, y4).  The least of the nine cross images settles
+almost every q at once: one below y2 gives a smaller image of q, and all
+above y2 make every image larger; only on a tie are the triples sorted
+and compared.  A q with an element that is not a multiple of d
+(possible when some divisor of n above d is not a multiple of d) has
+images that depend on the lift, and goes to sequences._canonical_tuple.
 
 Reduced classes come from the same walk, through anchors.  With p the
 least prime of n and m = n // p, a reduced quad (d, y2, y3, y4) is not
@@ -68,11 +70,10 @@ from .sequences import (
     GroupSequence,
     _canonical_tuple,
     _index_numerator,
-    _is_canonical,
     _min_gcd,
     _multiset_minimal_zero_sum,
 )
-from .zncore import Modulus, _lift_table, factorize
+from .zncore import Modulus, factorize
 
 
 @dataclass(frozen=True)
@@ -202,17 +203,19 @@ def _stripe(
     under every unit mapping y to d; img is n where gcd(y, n) > d, which
     no unit maps to d, and -1 where gcd(y, n) < d, outside the stripe.
     img[y] < y2 rules a quad out at once.  When every element is a
-    multiple of d, the nine cross images (img[x] and (z // d) img[x]
-    mod n for the other two elements z, for each x in y2, y3, y4 of
-    gcd d other than d) decide canonicity (see the module docstring):
-    any below y2, not canonical; all above, canonical.  A tie, or an
-    element that is not a multiple of d, goes to the exact sorted test
-    sequences._is_canonical.
+    multiple of d, the cross images (img[x] and (z // d) img[x] mod n for
+    the other two elements z, for each x in y2, y3, y4 of gcd d other
+    than d) decide canonicity exactly, ties included (see the module
+    docstring): the least below y2, not canonical; above, canonical;
+    equal, canonical iff the sorted triple of each such x is at least
+    [y2, y3, y4].  A quad with an element that is not a multiple of d
+    goes to sequences._canonical_tuple.
     """
     top = n - d - 1
     m = cofactors[0] if cofactors else None
     img = [n] * n if d == 1 else [n if math.gcd(y, n) > d else -1 for y in range(n)]
-    img[::d] = [d * (ts[0] % (n // d)) if ts else n for ts in _lift_table(n, d)]
+    nd = n // d
+    img[::d] = [d * pow(r, -1, nd) if math.gcd(r, nd) == 1 else n for r in range(nd)]
     for y2 in range(d, top + 1):
         i2 = img[y2]
         if i2 < y2:
@@ -242,7 +245,7 @@ def _stripe(
                 if cofactors and not _is_reduced_quad_raw(n, quad, cofactors):
                     continue
                 if not exact or y3 % d:
-                    if _is_canonical(n, quad, d):
+                    if _canonical_tuple(n, quad, d) == quad:
                         yield quad
                     continue
                 k3, k4 = y3 // d, y4 // d
@@ -253,7 +256,15 @@ def _stripe(
                     low = min(low, i3, k2 * i3 % n, k4 * i3 % n)
                 if i4 < n:
                     low = min(low, i4, k2 * i4 % n, k3 * i4 % n)
-                if low > y2 or low == y2 and _is_canonical(n, quad, d):
+                if low > y2 or low == y2 and all(
+                    sorted(image) >= [y2, y3, y4]
+                    for image in (
+                        (i2, k3 * i2 % n, k4 * i2 % n),
+                        (i3, k2 * i3 % n, k4 * i3 % n),
+                        (i4, k2 * i4 % n, k3 * i4 % n),
+                    )
+                    if image[0] < n
+                ):
                     yield quad
 
 

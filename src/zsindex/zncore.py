@@ -21,12 +21,10 @@ class Modulus:
     """A modulus n with its prime factorization.
 
     factors is a tuple of (prime, multiplicity) pairs sorted by prime.
-    coprime_to_6 records whether gcd(n, 6) == 1.
     """
 
     n: int
     factors: tuple[tuple[int, int], ...]
-    coprime_to_6: bool
 
     def __post_init__(self) -> None:
         if not 2 <= self.n <= MAX_MODULUS:
@@ -39,8 +37,10 @@ class Modulus:
         primes = [p for p, _ in self.factors]
         if primes != sorted(primes):
             raise ValueError("factors must be sorted by prime")
-        if self.coprime_to_6 != (math.gcd(self.n, 6) == 1):
-            raise ValueError("coprime_to_6 flag inconsistent with n")
+
+    @property
+    def coprime_to_6(self) -> bool:
+        return math.gcd(self.n, 6) == 1
 
     @property
     def prime_divisors(self) -> tuple[int, ...]:
@@ -69,7 +69,7 @@ class Modulus:
         return tuple(sorted(divs))
 
 
-@lru_cache(maxsize=8)  # like _lift_table: a range sweep never returns to a modulus
+@lru_cache(maxsize=8)  # one modulus at a time: a range sweep never returns to one
 def _unit_mask(n: int, prime_divisors: tuple[int, ...]) -> bytes:
     mask = bytearray(b"\x01") * n
     mask[0] = 0
@@ -84,9 +84,11 @@ def _lift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 
     Those are the lifts of r^-1 mod n // d that are units mod n; the
     entry is empty unless gcd(r, n // d) == 1, i.e. gcd(d * r, n) == d.
-    The cache holds one modulus's tables (a three-prime modulus has
-    seven stripes, then its census reads d = 1 again); a range sweep
-    never returns to a modulus, so more would only be stale.
+    Its one reader is sequences._canonical_tuple, which needs every
+    lift: callers that need only r^-1 mod n // d (the stripe's unit
+    images, the normal form's multipliers) take it from pow instead of
+    building n entries.  The cache holds about one modulus's tables; a
+    range sweep never returns to a modulus, so more would only be stale.
     """
     m = n // d
     mask = factorize(n).unit_mask()
@@ -118,7 +120,7 @@ def factorize(n: int) -> Modulus:
         p += 1 if p == 2 else 2
     if remaining > 1:
         factors.append((remaining, 1))
-    return Modulus(n=n, factors=tuple(factors), coprime_to_6=math.gcd(n, 6) == 1)
+    return Modulus(n=n, factors=tuple(factors))
 
 
 def residue_rep(x: int, n: int) -> int:

@@ -19,6 +19,7 @@ from zsindex import (
     gcd_profile,
     normalize_quad,
     seq_norm,
+    zncore,
 )
 
 
@@ -117,6 +118,15 @@ def test_normalize_examples():
 
     q = normalize_quad(_seq(11, [1, 2, 3, 5]))
     assert (q.a, q.b, q.c, q.unit) == (2, 3, 4, 4)
+
+
+def test_normalize_builds_no_lift_table():
+    # the multipliers are the inverses of the unit elements: a large
+    # prime modulus costs no table of n entries
+    zncore._lift_table.cache_clear()
+    q = normalize_quad(_seq(2000003, [1, 2, 3, 1999997]))
+    assert (q.a, q.b, q.c, q.unit) == (2, 666667, 666668, 666668)
+    assert zncore._lift_table.cache_info().misses == 0
 
 
 def test_normalize_requires_coprime_element():

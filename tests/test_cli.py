@@ -270,15 +270,19 @@ def test_verify_cache_unusable_records(tmp_path, capsys):
     assert code == 0
     record = json.loads(cache.read_text().splitlines()[-1])
     assert record["n"] == 7
+    # an n that is not a JSON integer (7.0, "7", true) is not reused either
+    bad_n = [{**record, "n": n, "class_count": 999} for n in (7.0, "7", True)]
     del record["status"]
-    cache.write_text(json.dumps([1, 2]) + "\n" + json.dumps(record) + "\n")
+    lines = [[1, 2], record, *bad_n]
+    cache.write_text("".join(json.dumps(line) + "\n" for line in lines))
     code, second, err = run_json(capsys, *args)
     assert code == 0
-    assert "malformed cache record on line 1" in err
-    assert "malformed cache record on line 2" in err
+    for i in range(1, len(lines) + 1):
+        assert f"malformed cache record on line {i}" in err
     rows = {row["n"]: row for row in second["results"]}
     assert rows[7]["from_cache"] is False
     assert rows[7]["status"] == "verified"
+    assert rows[7]["class_count"] != 999
 
 
 def test_verify_cache_foreign_digest(tmp_path, capsys):

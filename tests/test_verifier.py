@@ -345,21 +345,11 @@ def _stripe_reduced_unit_classes(n):
     ]
 
 
-def test_is_canonical_matches_canonical_tuple():
-    # the early-exit test against the full canonical form, on every tuple
-    # of the unpruned stripes, the ones the first-image prune drops included
-    cases = [(n, d) for n in range(4, 121) for d in factorize(n).divisors()[:-1]]
-    for n, d in [*cases, (385, 1), (1001, 1)]:
-        for quad in _unpruned_stripe(n, d):
-            expected = verifier._canonical_tuple(n, quad, d) == quad
-            assert verifier._is_canonical(n, quad, d) == expected, (n, quad)
-
-
 def test_stripe_yields_exactly_its_canonical_quads():
-    # the cross-image certificate against the full canonical form, on
-    # every proper divisor of n <= 120, the unit stripes of 385 and 1001,
+    # the cross-image decision, ties included, against the full canonical
+    # form, on every proper divisor of n <= 120, the unit stripe of 385,
     # and every stripe of 105 and 1001, where some divisor above d is not
-    # a multiple of d and the sorted fallback runs
+    # a multiple of d and the quads holding it go to _canonical_tuple
     cases = [(n, d) for n in range(4, 121) for d in factorize(n).divisors()[:-1]]
     cases += [(385, 1)]
     cases += [(n, d) for n in (105, 1001) for d in factorize(n).divisors()[:-1]]
@@ -425,13 +415,18 @@ def test_census_keys_in_pattern_order():
 
 
 def test_range_sweep_keeps_few_lift_tables():
-    # a sweep never returns to a modulus: the lift-table and unit-mask
-    # caches hold about one modulus's tables, not a stale table per
-    # modulus visited
+    # the theorem 2.1 stripes read the unit images off pow, not off lift
+    # tables; and a sweep never returns to a modulus, so the lift-table
+    # and unit-mask caches hold about one modulus's tables, not a stale
+    # table per modulus visited
+    zncore._lift_table.cache_clear()
     for n in range(1001, 1401):
         mod = factorize(n)
         if mod.is_squarefree and len(mod.prime_divisors) in (3, 4):
             validate_theorem21(n)
+    assert zncore._lift_table.cache_info().misses == 0
+    for n in range(1001, 1401):
+        canonical_rep(GroupSequence.of(n, (2, 3, 5, n - 10)))
     assert zncore._lift_table.cache_info().currsize <= 8
     assert zncore._unit_mask.cache_info().currsize <= 8
 

@@ -65,13 +65,11 @@ def test_factorize_roundtrip_random():
 
 def test_modulus_validation():
     with pytest.raises(ValueError):
-        Modulus(n=12, factors=((2, 1), (3, 1)), coprime_to_6=False)
+        Modulus(n=12, factors=((2, 1), (3, 1)))
     with pytest.raises(ValueError):
-        Modulus(n=15, factors=((5, 1), (3, 1)), coprime_to_6=False)
+        Modulus(n=15, factors=((5, 1), (3, 1)))
     with pytest.raises(ValueError):
-        Modulus(n=35, factors=((5, 1), (7, 1)), coprime_to_6=False)
-    with pytest.raises(ValueError):
-        Modulus(n=1, factors=(), coprime_to_6=False)
+        Modulus(n=1, factors=())
 
 
 def test_residue_rep_examples():
