@@ -90,15 +90,21 @@ def _quad_elems(n: int, a: int, b: int, c: int) -> tuple[int, int, int, int]:
     return (1, c, n - b, n - a)
 
 
-def _normal_form_quads(n: int) -> Iterator[tuple[int, int, int]]:
-    """Every parameter triple (a, b, c) of the normal form over Z_n, by c
-    then b.
+def _normal_form_rows(n: int) -> Iterator[tuple[int, range]]:
+    """Every c of the normal form over Z_n, ascending, with its range of b.
 
     For each c the range of b is exactly the one where a = c + 1 - b
     satisfies 2 <= a <= b.
     """
     for c in range(2, (n - 1) // 2 + 1):
-        for b in range((c + 2) // 2, c):
+        yield c, range((c + 2) // 2, c)
+
+
+def _normal_form_quads(n: int) -> Iterator[tuple[int, int, int]]:
+    """Every parameter triple (a, b, c) of the normal form over Z_n, by c
+    then b: the rows of _normal_form_rows in order."""
+    for c, bs in _normal_form_rows(n):
+        for b in bs:
             yield c + 1 - b, b, c
 
 

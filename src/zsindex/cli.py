@@ -226,7 +226,9 @@ def _load_cache(path: str, digest: str, strict: bool) -> dict[int, dict]:
     it are never rewritten; corrupt interior lines are skipped in memory
     only.  Error records are never reused, so failed n values rerun; a
     line that is not a record with an integer n and a verified or
-    counterexample status is reported as malformed and its n reruns.
+    counterexample status, or such a record whose class_count or
+    max_index is not an integer, is reported as malformed and its n
+    reruns.
     """
     if not os.path.exists(path):
         return {}
@@ -263,7 +265,14 @@ def _load_cache(path: str, digest: str, strict: bool) -> dict[int, dict]:
             n, status = rec["n"], rec["status"]
         except (KeyError, TypeError):
             n = status = None
-        if type(n) is not int or status not in ("verified", "counterexample", "error"):
+        well_formed = type(n) is int and (
+            status == "error"
+            or (
+                status in ("verified", "counterexample")
+                and all(type(rec.get(f)) is int for f in ("class_count", "max_index"))
+            )
+        )
+        if not well_formed:
             print(f"warning: malformed cache record on line {i + 1}", file=sys.stderr)
         elif status != "error":
             records[n] = rec

@@ -7,7 +7,17 @@ use integer ceil/floor divisions equivalent to the rational bounds.
 
 Each condition has one kernel on plain integers that returns its first
 witness, or None when it does not fire; the lemma sweep reads the
-kernels, and the public functions wrap them in a LemmaOutcome.
+kernels, and the public functions wrap them in a LemmaOutcome.  The
+kernel of 33.1 takes a window [blo, bhi] of one row of the normal forms
+(one c, with a = c + 1 - b), because its lower end ceil(kn/c) does not
+depend on b; the public lemma33_cond1 runs it on the window [b, b].
+
+A 33.1 witness (k, m) also proves index 1 directly.  From kn <= mc,
+mb <= kn and ma < n, the residues of m, mc, -mb and -ma mod n are at
+most m, mc - kn, kn - mb and n - ma, which sum to m (1 + c - a - b) + n
+= n, since c = a + b - 1.  Every norm of a zero-sum quad under a unit
+is a positive multiple of n, so the norm of (1, c, n-b, n-a) under m is
+exactly n, the least possible.
 """
 
 from __future__ import annotations
@@ -98,21 +108,45 @@ def _outcome(lemma_id: str, witness: tuple[int, ...] | None) -> LemmaOutcome:
     return LemmaOutcome(lemma_id, True, witness, detail)
 
 
-def _lemma33_cond1(n: int, a: int, b: int, c: int) -> tuple[int, int] | None:
-    """The first (k, m) of 33.1, by k then m ascending.  The scan stops
-    at the first k with ceil(kn/c) > m_cap = (n-1)//a: the lower end
-    never decreases as k grows and the upper end is at most m_cap, so
-    every later m-range is empty."""
-    m_cap = (n - 1) // a
-    for k in range(1, b + 1):
+def _lemma33_cond1(
+    n: int, c: int, blo: int, bhi: int
+) -> list[tuple[int, int] | None]:
+    """The first (k, m) of 33.1, by k then m ascending, for each b of the
+    window [blo, bhi] of row c (a = c + 1 - b), listed by b.
+
+    For b the m-range at k is [lo, min(kn//b, (n-1)//a)] with
+    lo = ceil(kn/c), the same for every b of the row, and so is u, the
+    least unit >= lo.  The first unit of b's range is u exactly when
+    ub <= kn and ua <= n - 1, so b fires at k, with witness (k, u),
+    exactly when b lies in [max(blo, k, c+1 - (n-1)//u), min(bhi, kn//u)].
+    As k grows, lo and u never decrease, so the lower end never
+    decreases either: a b below it never fires at a later k, and the b
+    values take their witnesses left to right, with nxt the least one
+    still open.  The scan stops once u exceeds (n-1)//(c+1-bhi), the
+    largest (n-1)//a of the window, or once no b is open.  u is found by
+    a gcd scan from lo, resumed from the last u, so each row tests each
+    m at most once, with no table.
+    """
+    out: list[tuple[int, int] | None] = [None] * (bhi - blo + 1)
+    u_cap = (n - 1) // (c + 1 - bhi)
+    nxt = blo
+    u = 0
+    for k in range(1, bhi + 1):
         lo = _ceil_div(k * n, c)
-        if lo > m_cap:
+        if u < lo:
+            u = lo
+            while u <= u_cap and math.gcd(u, n) != 1:
+                u += 1
+        if u > u_cap:
             break
-        hi = min(k * n // b, m_cap)
-        for m in range(lo, hi + 1):
-            if math.gcd(m, n) == 1:
-                return k, m
-    return None
+        first = max(nxt, k, c + 1 - (n - 1) // u)
+        last = min(bhi, k * n // u)
+        for b in range(first, last + 1):
+            out[b - blo] = (k, u)
+        nxt = max(first, last + 1)
+        if nxt > bhi:
+            break
+    return out
 
 
 def _lemma33_cond2(n: int, a: int, b: int, c: int) -> tuple[int] | None:
@@ -155,29 +189,14 @@ def _lemma35_cond(n: int, a: int, b: int) -> tuple[int, int] | None:
     return None
 
 
-def _witnesses(
-    n: int, a: int, b: int, c: int
-) -> list[tuple[str, tuple[int, ...] | None]]:
-    """The (lemma_id, witness) pairs of the conditions that apply to the
-    normal form (a, b, c): 33.1, 33.2 and 34 always, 35 when s = b // a
-    >= 2.  The witness is None where the condition does not fire."""
-    pairs = [
-        ("33.1", _lemma33_cond1(n, a, b, c)),
-        ("33.2", _lemma33_cond2(n, a, b, c)),
-        ("34", _lemma34_cond(n, a, b, c)),
-    ]
-    if b // a >= 2:
-        pairs.append(("35", _lemma35_cond(n, a, b)))
-    return pairs
-
-
 def lemma33_cond1(quad: NormalizedQuad) -> LemmaOutcome:
     """Certificate: coprime m in [kn/c, kn/b] with 1 <= k <= b and ma < n.
 
-    Such an m makes the norm under m collapse to exactly n.  The witness
-    is the first hit, scanning k ascending and m ascending.
+    Such an m makes the norm under m collapse to exactly n (see the
+    module docstring).  The witness is the first hit, scanning k
+    ascending and m ascending: the row kernel on the window [b, b].
     """
-    return _outcome("33.1", _lemma33_cond1(quad.n, quad.a, quad.b, quad.c))
+    return _outcome("33.1", _lemma33_cond1(quad.n, quad.c, quad.b, quad.b)[0])
 
 
 def lemma33_cond2(quad: NormalizedQuad) -> LemmaOutcome:
@@ -212,11 +231,12 @@ def lemma35_cond(quad: NormalizedQuad) -> LemmaOutcome:
 
 
 def _conditions(quad: NormalizedQuad) -> list[LemmaOutcome]:
-    """The outcomes of the conditions that apply to a normal form."""
-    return [
-        _outcome(lemma_id, witness)
-        for lemma_id, witness in _witnesses(quad.n, quad.a, quad.b, quad.c)
-    ]
+    """The outcomes of the conditions that apply to a normal form: 33.1,
+    33.2 and 34 always, 35 when s = b // a >= 2."""
+    outcomes = [lemma33_cond1(quad), lemma33_cond2(quad), lemma34_cond(quad)]
+    if compute_s(quad) >= 2:
+        outcomes.append(lemma35_cond(quad))
+    return outcomes
 
 
 def assumption_b(quad: NormalizedQuad) -> bool:

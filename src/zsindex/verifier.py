@@ -59,13 +59,20 @@ from .classify import (
     NormalizedQuad,
     Pattern,
     _match_gcd_pattern,
-    _normal_form_quads,
+    _normal_form_rows,
     _quad_elems,
     classify_pattern,
     normalize_quad,
 )
 from .errors import CeilMismatch, InvariantViolated, PreconditionViolated
-from .lemmas import _witnesses, compute_k1, remark32_check
+from .lemmas import (
+    _lemma33_cond1,
+    _lemma33_cond2,
+    _lemma34_cond,
+    _lemma35_cond,
+    compute_k1,
+    remark32_check,
+)
 from .sequences import (
     GroupSequence,
     _canonical_tuple,
@@ -602,11 +609,16 @@ def validate_theorem21(n: int) -> Theorem21Report:
 
 def validate_lemmas(n: int) -> LemmaSweepReport:
     """Sweep every normalized quad over Z_n through the conditions that
-    apply to it (lemmas._witnesses).
+    apply to it: 33.1, 33.2 and 34 always, 35 when s = b // a >= 2.
 
-    A condition firing while the oracle index exceeds 1 is recorded as a
-    violation (as a finding for the condition with the suspect final
-    clause).  Structural probes run only for n > 1000: under the
+    The normal forms are walked one row (one c) at a time, and the 33.1
+    witnesses of a whole row come from one call of its row kernel.  A
+    33.1 witness (k, m) certifies index 1 when the norm of the quad under
+    m is n (it always is; the proof is in the lemmas module docstring),
+    and only the other quads run the index kernel.  A condition firing
+    while the oracle index exceeds 1 is recorded as a violation (as a
+    finding for the condition with the suspect final clause).
+    Structural probes run only for n > 1000: under the
     no-coprime-multiplier assumption, s should stay <= 9 and, when
     defined, k1 <= 6.
     """
@@ -622,44 +634,52 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
     quad_count = 0
     s_applicable = 0
     probes_on = n > 1000
-    for a, b, c in _normal_form_quads(n):
-        quad_count += 1
-        elems = _quad_elems(n, a, b, c)
-        num, _ = _index_numerator(n, elems, mask)
-        value = num // n
-        s = b // a
-        s_applicable += s >= 2
-        fired_35 = False
-        for name, witness in _witnesses(n, a, b, c):
-            if witness is None:
-                continue
-            fired[name] += 1
-            if name == "35":
-                fired_35 = True
-            if value == 1:
-                continue
-            record = Counterexample(
-                n=n,
-                elems=elems,
-                index_numerator=num,
-                context=f"lemma-{name}",
-                detail=f"(a,b,c)=({a},{b},{c}), witness {witness}",
-            )
-            if name == "34":
-                findings_34.append(record)
+    for c, bs in _normal_form_rows(n):
+        for b, w331 in zip(bs, _lemma33_cond1(n, c, bs.start, bs.stop - 1)):
+            a = c + 1 - b
+            quad_count += 1
+            elems = _quad_elems(n, a, b, c)
+            m = w331[1] if w331 else 0
+            if m and m + m * c % n + m * (n - b) % n + m * (n - a) % n == n:
+                num = n
             else:
-                violations[name].append(record)
-        if probes_on and not fired_35:
-            if s > 9:
-                probe_s.append((n, a, b, c))
-            try:
-                k1 = compute_k1(NormalizedQuad(n, a, b, c))
-                if k1 > 6:
-                    probe_k1.append((n, a, b, c))
-            except InvariantViolated:
-                k1_undefined += 1
-            except CeilMismatch:
-                pass
+                num, _ = _index_numerator(n, elems, mask)
+            s = b // a
+            s_applicable += s >= 2
+            w35 = _lemma35_cond(n, a, b) if s >= 2 else None
+            for name, witness in (
+                ("33.1", w331),
+                ("33.2", _lemma33_cond2(n, a, b, c)),
+                ("34", _lemma34_cond(n, a, b, c)),
+                ("35", w35),
+            ):
+                if witness is None:
+                    continue
+                fired[name] += 1
+                if num == n:
+                    continue
+                record = Counterexample(
+                    n=n,
+                    elems=elems,
+                    index_numerator=num,
+                    context=f"lemma-{name}",
+                    detail=f"(a,b,c)=({a},{b},{c}), witness {witness}",
+                )
+                if name == "34":
+                    findings_34.append(record)
+                else:
+                    violations[name].append(record)
+            if probes_on and w35 is None:
+                if s > 9:
+                    probe_s.append((n, a, b, c))
+                try:
+                    k1 = compute_k1(NormalizedQuad(n, a, b, c))
+                    if k1 > 6:
+                        probe_k1.append((n, a, b, c))
+                except InvariantViolated:
+                    k1_undefined += 1
+                except CeilMismatch:
+                    pass
     vacuous = {
         "lemma35": s_applicable == 0,
         "probes": not probes_on,

@@ -285,6 +285,38 @@ def test_verify_cache_unusable_records(tmp_path, capsys):
     assert rows[7]["class_count"] != 999
 
 
+def test_verify_cache_record_with_bad_counts(tmp_path, capsys):
+    # a record whose class_count or max_index is not an integer is
+    # malformed: it is reported and never printed as verified
+    cache = tmp_path / "runs.jsonl"
+    args = ("verify", "--min", "5", "--max", "7", "--coprime-to-6",
+            "--jobs", "1", "--cache", str(cache))
+    code, first, _ = run_json(capsys, *args)
+    assert code == 0
+    true_row = {row["n"]: row for row in first["results"]}[7]
+    good = cache.read_text()
+    record = json.loads(good.splitlines()[-1])
+    assert record["n"] == 7
+    bad = json.dumps({**record, "class_count": "lots", "max_index": None}) + "\n"
+    # appended after the good n = 7 record: the good one is reused
+    cache.write_text(good + bad)
+    code, out, err = run_cli(capsys, *args, "--format", "text")
+    assert code == 0
+    assert "malformed cache record on line 3" in err
+    assert f"n=7 verified classes={true_row['class_count']} " in out
+    assert "lots" not in out
+    # the only n = 7 record: n = 7 is recomputed
+    cache.write_text(good.splitlines(keepends=True)[0] + bad)
+    code, second, err = run_json(capsys, *args)
+    assert code == 0
+    assert "malformed cache record on line 2" in err
+    rows = {row["n"]: row for row in second["results"]}
+    assert rows[5]["from_cache"] is True
+    assert rows[7]["from_cache"] is False
+    assert {f: rows[7][f] for f in ("status", "class_count", "max_index")} == {
+        f: true_row[f] for f in ("status", "class_count", "max_index")}
+
+
 def test_verify_cache_foreign_digest(tmp_path, capsys):
     cache = tmp_path / "runs.jsonl"
     foreign = {

@@ -33,7 +33,8 @@ from zsindex import (
     remark32_check,
     structure_params,
 )
-from zsindex.classify import _normal_form_quads
+from zsindex.classify import _normal_form_quads, _normal_form_rows
+from zsindex.lemmas import _lemma33_cond1
 
 
 def test_interval_integers_examples():
@@ -333,6 +334,47 @@ def test_bounded_k_scans_match_unbounded_references():
                 assert (out.fired, out.witness) == _ref_lemma35_cond(n, a, b), quad
             assert _k1_or_error(quad) == _ref_compute_k1(n, b, c), quad
     assert forms > 140_000
+
+
+def test_lemma33_row_kernel_matches_reference():
+    # the 33.1 row kernel against the unbounded per-quad scan, b by b, on
+    # every full row of n = 5..150, 420 and 1013 and on its lower half,
+    # upper half and two seeded sub-windows
+    rng = random.Random(331)
+    windows = 0
+    for n in [*range(5, 151), 420, 1013]:
+        for c, bs in _normal_form_rows(n):
+            ref = [_ref_lemma33_cond1(n, c + 1 - b, b, c)[1] for b in bs]
+            lo, hi = bs.start, bs.stop - 1
+            if not bs:
+                assert _lemma33_cond1(n, c, lo, hi) == []
+                continue
+            mid = (lo + hi) // 2
+            subs = [(lo, hi), (lo, mid), (mid + 1, hi)]
+            for _ in range(2):
+                x, y = sorted(rng.randint(lo, hi) for _ in range(2))
+                subs.append((x, y))
+            for x, y in subs:
+                got = _lemma33_cond1(n, c, x, y)
+                assert got == ref[x - lo:y - lo + 1], (n, c, x, y)
+                windows += 1
+    assert windows > 5_000
+
+
+def test_lemma33_witness_norm_is_n():
+    # a 33.1 witness (k, m) certifies index 1: the norm of (1, c, n-b,
+    # n-a) under m is exactly n, for every normal form where 33.1 fires
+    checked = 0
+    for n in [*range(5, 201), 420, 480]:
+        for c, bs in _normal_form_rows(n):
+            for b, witness in zip(bs, _lemma33_cond1(n, c, bs.start, bs.stop - 1)):
+                if witness is None:
+                    continue
+                m = witness[1]
+                quad = NormalizedQuad(n, c + 1 - b, b, c)
+                assert sum(m * x % n for x in quad.elems) == n, (quad, witness)
+                checked += 1
+    assert checked > 100_000
 
 
 def test_wrapper_outcomes_pinned():

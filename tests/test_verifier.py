@@ -535,16 +535,35 @@ def _ref_validate_lemmas(n):
     )
 
 
-def test_validate_lemmas_matches_outcome_sweep():
+def test_validate_lemmas_matches_outcome_sweep(monkeypatch):
     # the kernel sweep against the wrapper sweep, field for field; even n
-    # and multiples of 3 bring violations and findings, 1001 the probes
+    # and multiples of 3 bring violations and findings, 1001 the probes.
+    # A quad whose 33.1 witness certifies index 1 skips the index kernel,
+    # so the kernel runs exactly on the quads where 33.1 does not fire;
+    # at 480 that is 3,409 of 14,161, so both paths are taken
+    import zsindex.verifier as verifier
+
+    scans = 0
+    index_numerator = verifier._index_numerator
+
+    def counting(*args):
+        nonlocal scans
+        scans += 1
+        return index_numerator(*args)
+
+    monkeypatch.setattr(verifier, "_index_numerator", counting)
     seen = {"violations": 0, "findings_34": 0}
-    for n in [*range(5, 131), 420, 1001]:
+    quads_and_scans = {}
+    for n in [*range(5, 131), 420, 480, 1001]:
+        scans = 0
         got = dataclasses.asdict(dataclasses.replace(validate_lemmas(n), elapsed=0.0))
         assert got == dataclasses.asdict(_ref_validate_lemmas(n)), n
+        assert scans == got["quad_count"] - got["fired"]["33.1"], n
+        quads_and_scans[n] = (got["quad_count"], scans)
         seen["violations"] += sum(map(len, got["violations"].values()))
         seen["findings_34"] += len(got["findings_34"])
     assert min(seen.values()) > 0
+    assert quads_and_scans[480] == (14161, 3409)
 
 
 def test_three_prime_moduli_window():
