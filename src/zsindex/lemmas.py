@@ -8,9 +8,20 @@ use integer ceil/floor divisions equivalent to the rational bounds.
 Each condition has one kernel on plain integers that returns its first
 witness, or None when it does not fire; the lemma sweep reads the
 kernels, and the public functions wrap them in a LemmaOutcome.  The
-kernel of 33.1 takes a window [blo, bhi] of one row of the normal forms
-(one c, with a = c + 1 - b), because its lower end ceil(kn/c) does not
-depend on b; the public lemma33_cond1 runs it on the window [b, b].
+kernels of 33.1, 33.2 and 34 take a window [blo, bhi] of one row of the
+normal forms (one c, with a = c + 1 - b) and return the witness of each
+b of the window; the public lemma33_cond1, lemma33_cond2 and
+lemma34_cond run them on the window [b, b].
+- 33.1 and 34 share, for each k, the lower end ceil(kn/c) of the
+  m-range and the least unit u above it across the row, so a b fires at
+  k exactly when u lies below its own upper end.  For 34 the clause
+  ab <= kn decides when b is open: ab = b(c+1-b) does not increase as b
+  grows, so as k grows the b values open from the right end of the
+  window leftwards.  Every b fires by k = b, where its m-range reaches
+  the unit n - 1, so 34 fires on every normal form.
+- 33.2 scans the units M <= n/2 once per row, and tests each b still
+  open.  The scan starts at M = 2: under M = 1 the residues a and b lie
+  below n/2, so at most one of the three inequalities holds.
 
 A 33.1 witness (k, m) also proves index 1 directly.  From kn <= mc,
 mb <= kn and ma < n, the residues of m, mc, -mb and -ma mod n are at
@@ -149,31 +160,98 @@ def _lemma33_cond1(
     return out
 
 
-def _lemma33_cond2(n: int, a: int, b: int, c: int) -> tuple[int] | None:
-    """The least unit M of 33.2."""
-    for big_m in range(1, n // 2 + 1):
-        if math.gcd(big_m, n) != 1:
+def _lemma33_cond2(
+    n: int, c: int, blo: int, bhi: int
+) -> list[tuple[int] | None]:
+    """The least unit M of 33.2 for each b of the window [blo, bhi] of
+    row c (a = c + 1 - b), listed by b.
+
+    The units M <= n/2 are scanned in ascending order, each tested once
+    per row: Mc mod n and M(c+1) mod n do not depend on b, and for each
+    b still open, rb = Mb mod n and ra = (M(c+1) - rb) mod n.  No residue
+    of a unit times a, b or c is n/2, since each of them lies in (0, n/2),
+    so 2r > n is exactly r > n // 2 for either parity of n.  b takes the
+    witness (M,) when two of 2ra > n, 2rb > n and 2(Mc mod n) < n hold,
+    and leaves the open list; the scan stops once the list is empty.  It
+    starts at M = 2: for M = 1, ra = a and rb = b are below n/2
+    (a <= b < c < n/2), so at most one inequality holds and M = 1 never
+    fires.
+    """
+    out: list[tuple[int] | None] = [None] * (bhi - blo + 1)
+    open_bs: range | list[int] = range(blo, bhi + 1)
+    half = n // 2
+    for m in range(2, half + 1):
+        if math.gcd(m, n) != 1:
             continue
-        ra = big_m * a % n
-        rb = big_m * b % n
-        rc = big_m * c % n
-        hits = (2 * ra > n) + (2 * rb > n) + (2 * rc < n)
-        if hits >= 2:
-            return (big_m,)
-    return None
+        mc1 = m * (c + 1)
+        still = []
+        if 2 * (m * c % n) < n:
+            for b in open_bs:
+                rb = m * b % n
+                if rb > half or (mc1 - rb) % n > half:
+                    out[b - blo] = (m,)
+                else:
+                    still.append(b)
+        else:
+            for b in open_bs:
+                rb = m * b % n
+                if rb > half and (mc1 - rb) % n > half:
+                    out[b - blo] = (m,)
+                else:
+                    still.append(b)
+        if not still:
+            break
+        open_bs = still
+    return out
 
 
-def _lemma34_cond(n: int, a: int, b: int, c: int) -> tuple[int, int] | None:
-    """The first (k, m) of 34, by k then m ascending.  The clause
-    a <= kn/b, that is ab <= kn, holds exactly for k >= ceil(ab/n), so
-    the k-scan starts there."""
-    for k in range(max(1, _ceil_div(a * b, n)), b + 1):
-        lo = _ceil_div(k * n, c)
-        hi = k * n // b
-        for m in range(lo, hi + 1):
-            if math.gcd(m, n) == 1:
-                return k, m
-    return None
+def _lemma34_cond(
+    n: int, c: int, blo: int, bhi: int
+) -> list[tuple[int, int] | None]:
+    """The first (k, m) of 34, by k then m ascending, for each b of the
+    window [blo, bhi] of row c (a = c + 1 - b), listed by b.
+
+    As in 33.1, lo = ceil(kn/c) and u, the least unit >= lo, are the
+    same for the whole row, and the first unit of b's range [lo, kn//b]
+    is u exactly when bu <= kn.  So b fires at k, with witness (k, u),
+    exactly when ab <= kn, k <= b and bu <= kn.  Over the row ab =
+    b(c+1-b) does not increase as b grows, so as k grows the b values
+    open (ab <= kn) from the right end of the window leftwards.  Every b
+    fires by k = b: it is open there (a < n), and its range [lo, n]
+    holds the unit n - 1, so k <= b needs no test.  The open b are kept
+    in descending order, and opening and firing (b <= kn//u) both happen
+    at the small end; entered is the least b that has opened.  The scan
+    starts at the k where bhi opens and stops once every b has fired.
+    u is found by a gcd scan from lo, resumed from the last u, and only
+    at a k where the least open b has b lo <= kn.
+    """
+    out: list[tuple[int, int] | None] = [None] * (bhi - blo + 1)
+    open_bs: list[int] = []
+    entered = bhi + 1
+    u = 0
+    for k in range(_ceil_div(bhi * (c + 1 - bhi), n), bhi + 1):
+        kn = k * n
+        while entered > blo and (entered - 1) * (c + 2 - entered) <= kn:
+            entered -= 1
+            open_bs.append(entered)
+        if not open_bs:
+            if entered == blo:
+                break
+            continue
+        least = open_bs[-1]
+        lo = _ceil_div(kn, c)
+        if least * lo > kn:
+            continue
+        if u < lo:
+            u = lo
+            while math.gcd(u, n) != 1:
+                u += 1
+        top = kn // u
+        if least <= top:
+            witness = (k, u)
+            while open_bs and open_bs[-1] <= top:
+                out[open_bs.pop() - blo] = witness
+    return out
 
 
 def _lemma35_cond(n: int, a: int, b: int) -> tuple[int, int] | None:
@@ -201,8 +279,11 @@ def lemma33_cond1(quad: NormalizedQuad) -> LemmaOutcome:
 
 def lemma33_cond2(quad: NormalizedQuad) -> LemmaOutcome:
     """Certificate: unit M <= n/2 with two of |Ma|, |Mb| above n/2 or
-    |Mc| below n/2 (at least two of the three inequalities)."""
-    return _outcome("33.2", _lemma33_cond2(quad.n, quad.a, quad.b, quad.c))
+    |Mc| below n/2 (at least two of the three inequalities).
+
+    The witness is the least such M: the row kernel on the window [b, b].
+    """
+    return _outcome("33.2", _lemma33_cond2(quad.n, quad.c, quad.b, quad.b)[0])
 
 
 def lemma34_cond(quad: NormalizedQuad) -> LemmaOutcome:
@@ -211,9 +292,10 @@ def lemma34_cond(quad: NormalizedQuad) -> LemmaOutcome:
 
     The final clause is suspected of being misstated at the source; the
     sweeps therefore report exceptions to this condition as findings
-    rather than failures.
+    rather than failures.  The witness is the first hit, scanning k
+    ascending and m ascending: the row kernel on the window [b, b].
     """
-    return _outcome("34", _lemma34_cond(quad.n, quad.a, quad.b, quad.c))
+    return _outcome("34", _lemma34_cond(quad.n, quad.c, quad.b, quad.b)[0])
 
 
 def compute_s(quad: NormalizedQuad) -> int:

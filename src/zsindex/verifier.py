@@ -611,13 +611,16 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
     """Sweep every normalized quad over Z_n through the conditions that
     apply to it: 33.1, 33.2 and 34 always, 35 when s = b // a >= 2.
 
-    The normal forms are walked one row (one c) at a time, and the 33.1
-    witnesses of a whole row come from one call of its row kernel.  A
-    33.1 witness (k, m) certifies index 1 when the norm of the quad under
-    m is n (it always is; the proof is in the lemmas module docstring),
-    and only the other quads run the index kernel.  A condition firing
-    while the oracle index exceeds 1 is recorded as a violation (as a
-    finding for the condition with the suspect final clause).
+    The normal forms are walked one row (one c) at a time.  The 33.1,
+    33.2 and 34 witnesses of a whole row come from one call of each row
+    kernel, and their fired counts are the entries that are not None.
+    Per quad only 35, the index and the probes remain.  A 33.1 witness
+    (k, m) certifies index 1 when the norm of the quad under m is n (it
+    always is; the proof is in the lemmas module docstring), and only the
+    other quads run the index kernel.  A condition firing while the
+    oracle index exceeds 1 is recorded as a violation (as a finding for
+    the condition with the suspect final clause); the quad's elements and
+    records are built only then.
     Structural probes run only for n > 1000: under the
     no-coprime-multiplier assumption, s should stay <= 9 and, when
     defined, k1 <= 6.
@@ -635,40 +638,45 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
     s_applicable = 0
     probes_on = n > 1000
     for c, bs in _normal_form_rows(n):
-        for b, w331 in zip(bs, _lemma33_cond1(n, c, bs.start, bs.stop - 1)):
+        blo, bhi = bs.start, bs.stop - 1
+        row331 = _lemma33_cond1(n, c, blo, bhi)
+        row332 = _lemma33_cond2(n, c, blo, bhi)
+        row34 = _lemma34_cond(n, c, blo, bhi)
+        for name, row in (("33.1", row331), ("33.2", row332), ("34", row34)):
+            fired[name] += len(row) - row.count(None)
+        quad_count += len(bs)
+        for b, w331, w332, w34 in zip(bs, row331, row332, row34):
             a = c + 1 - b
-            quad_count += 1
-            elems = _quad_elems(n, a, b, c)
             m = w331[1] if w331 else 0
             if m and m + m * c % n + m * (n - b) % n + m * (n - a) % n == n:
                 num = n
             else:
-                num, _ = _index_numerator(n, elems, mask)
+                num, _ = _index_numerator(n, _quad_elems(n, a, b, c), mask)
             s = b // a
             s_applicable += s >= 2
             w35 = _lemma35_cond(n, a, b) if s >= 2 else None
-            for name, witness in (
-                ("33.1", w331),
-                ("33.2", _lemma33_cond2(n, a, b, c)),
-                ("34", _lemma34_cond(n, a, b, c)),
-                ("35", w35),
-            ):
-                if witness is None:
-                    continue
-                fired[name] += 1
-                if num == n:
-                    continue
-                record = Counterexample(
-                    n=n,
-                    elems=elems,
-                    index_numerator=num,
-                    context=f"lemma-{name}",
-                    detail=f"(a,b,c)=({a},{b},{c}), witness {witness}",
-                )
-                if name == "34":
-                    findings_34.append(record)
-                else:
-                    violations[name].append(record)
+            if w35 is not None:
+                fired["35"] += 1
+            if num != n:
+                for name, witness in (
+                    ("33.1", w331),
+                    ("33.2", w332),
+                    ("34", w34),
+                    ("35", w35),
+                ):
+                    if witness is None:
+                        continue
+                    record = Counterexample(
+                        n=n,
+                        elems=_quad_elems(n, a, b, c),
+                        index_numerator=num,
+                        context=f"lemma-{name}",
+                        detail=f"(a,b,c)=({a},{b},{c}), witness {witness}",
+                    )
+                    if name == "34":
+                        findings_34.append(record)
+                    else:
+                        violations[name].append(record)
             if probes_on and w35 is None:
                 if s > 9:
                     probe_s.append((n, a, b, c))

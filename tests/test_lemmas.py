@@ -34,7 +34,7 @@ from zsindex import (
     structure_params,
 )
 from zsindex.classify import _normal_form_quads, _normal_form_rows
-from zsindex.lemmas import _lemma33_cond1
+from zsindex.lemmas import _lemma33_cond1, _lemma33_cond2, _lemma34_cond
 
 
 def test_interval_integers_examples():
@@ -336,18 +336,18 @@ def test_bounded_k_scans_match_unbounded_references():
     assert forms > 140_000
 
 
-def test_lemma33_row_kernel_matches_reference():
-    # the 33.1 row kernel against the unbounded per-quad scan, b by b, on
-    # every full row of n = 5..150, 420 and 1013 and on its lower half,
-    # upper half and two seeded sub-windows
-    rng = random.Random(331)
+def _check_row_kernel(kernel, ref, ns, seed):
+    # a row kernel against a per-quad reference, b by b, on every row of
+    # each n: the empty row c = 2, and each full row with its lower half,
+    # upper half and two seeded sub-windows; returns the windows checked
+    rng = random.Random(seed)
     windows = 0
-    for n in [*range(5, 151), 420, 1013]:
+    for n in ns:
         for c, bs in _normal_form_rows(n):
-            ref = [_ref_lemma33_cond1(n, c + 1 - b, b, c)[1] for b in bs]
+            want = [ref(n, c + 1 - b, b, c)[1] for b in bs]
             lo, hi = bs.start, bs.stop - 1
             if not bs:
-                assert _lemma33_cond1(n, c, lo, hi) == []
+                assert kernel(n, c, lo, hi) == []
                 continue
             mid = (lo + hi) // 2
             subs = [(lo, hi), (lo, mid), (mid + 1, hi)]
@@ -355,10 +355,36 @@ def test_lemma33_row_kernel_matches_reference():
                 x, y = sorted(rng.randint(lo, hi) for _ in range(2))
                 subs.append((x, y))
             for x, y in subs:
-                got = _lemma33_cond1(n, c, x, y)
-                assert got == ref[x - lo:y - lo + 1], (n, c, x, y)
+                got = kernel(n, c, x, y)
+                assert got == want[x - lo:y - lo + 1], (n, c, x, y)
                 windows += 1
-    assert windows > 5_000
+    return windows
+
+
+def test_lemma33_row_kernel_matches_reference():
+    # the 33.1 row kernel against the unbounded per-quad scan on n =
+    # 5..150, 420 and 1013
+    ns = [*range(5, 151), 420, 1013]
+    assert _check_row_kernel(_lemma33_cond1, _ref_lemma33_cond1, ns, 331) > 5_000
+
+
+def test_lemma33_cond2_row_kernel_matches_reference():
+    # the 33.2 row kernel against the scan of every M on exact rationals,
+    # on odd and even n = 5..150, 420 and 1020; on an odd n the row test
+    # r > n // 2 differs from r >= n // 2 at r = (n - 1) / 2
+    ns = [*range(5, 151), 420, 1020]
+    assert _check_row_kernel(_lemma33_cond2, _ref_lemma33_cond2, ns, 332) > 5_000
+
+
+def test_lemma34_row_kernel_matches_reference():
+    # the 34 row kernel against the unbounded per-quad scan, which tests
+    # ab <= kn and k <= b for each b on its own, on n = 5..150, 420 and
+    # 1020; the kernel tests no k <= b, since every b fires by k = b
+    ns = [*range(5, 151), 420, 1020]
+    assert _check_row_kernel(_lemma34_cond, _ref_lemma34_cond, ns, 34) > 5_000
+    for n in ns:
+        for c, bs in _normal_form_rows(n):
+            assert None not in _lemma34_cond(n, c, bs.start, bs.stop - 1), (n, c)
 
 
 def test_lemma33_witness_norm_is_n():

@@ -26,10 +26,6 @@ from zsindex import (
     enumerate_minimal_quads,
     factorize,
     index_of,
-    lemma33_cond1,
-    lemma33_cond2,
-    lemma34_cond,
-    lemma35_cond,
     is_minimal_zero_sum,
     is_reduced,
     iter_minimal_tuples,
@@ -45,6 +41,12 @@ from zsindex import (
     zncore,
 )
 from zsindex.classify import _normal_form_quads
+from test_lemmas import (
+    _ref_lemma33_cond1,
+    _ref_lemma33_cond2,
+    _ref_lemma34_cond,
+    _ref_lemma35_cond,
+)
 
 
 def test_decomposition_matches_naive_spot():
@@ -475,8 +477,8 @@ def test_validate_lemmas_k1_probe_propagates_unexpected_errors(monkeypatch):
 
 
 def _ref_validate_lemmas(n):
-    # the sweep as one outcome object per condition and one index_of per
-    # normal form, through the public wrappers
+    # the sweep as one index_of per normal form and one test-local
+    # reference scan per condition, sharing no kernel with the row sweep
     fired = {"33.1": 0, "33.2": 0, "34": 0, "35": 0}
     violations = {"33.1": [], "33.2": [], "35": []}
     findings_34 = []
@@ -491,15 +493,16 @@ def _ref_validate_lemmas(n):
         result = index_of(denormalize(quad))
         s = compute_s(quad)
         s_applicable += s >= 2
-        outcomes = [lemma33_cond1(quad), lemma33_cond2(quad), lemma34_cond(quad)]
+        witnesses = {
+            "33.1": _ref_lemma33_cond1(n, a, b, c)[1],
+            "33.2": _ref_lemma33_cond2(n, a, b, c)[1],
+            "34": _ref_lemma34_cond(n, a, b, c)[1],
+        }
         if s >= 2:
-            outcomes.append(lemma35_cond(quad))
-        fired_ids = set()
-        for outcome in outcomes:
-            if not outcome.fired:
+            witnesses["35"] = _ref_lemma35_cond(n, a, b)[1]
+        for name, witness in witnesses.items():
+            if witness is None:
                 continue
-            name = outcome.lemma_id
-            fired_ids.add(name)
             fired[name] += 1
             if result.value == 1:
                 continue
@@ -508,10 +511,10 @@ def _ref_validate_lemmas(n):
                 elems=quad.elems,
                 index_numerator=result.numerator,
                 context=f"lemma-{name}",
-                detail=f"(a,b,c)=({a},{b},{c}), witness {outcome.witness}",
+                detail=f"(a,b,c)=({a},{b},{c}), witness {witness}",
             )
             (findings_34 if name == "34" else violations[name]).append(record)
-        if n > 1000 and "35" not in fired_ids:
+        if n > 1000 and witnesses.get("35") is None:
             if s > 9:
                 probe_s.append((n, a, b, c))
             try:
@@ -536,11 +539,13 @@ def _ref_validate_lemmas(n):
 
 
 def test_validate_lemmas_matches_outcome_sweep(monkeypatch):
-    # the kernel sweep against the wrapper sweep, field for field; even n
-    # and multiples of 3 bring violations and findings, 1001 the probes.
-    # A quad whose 33.1 witness certifies index 1 skips the index kernel,
-    # so the kernel runs exactly on the quads where 33.1 does not fire;
-    # at 480 that is 3,409 of 14,161, so both paths are taken
+    # the row sweep against the per-quad reference sweep, field for
+    # field; even n and multiples of 3 bring violations and findings,
+    # 1001 and 1020 the probes.  A quad whose 33.1 witness certifies
+    # index 1 skips the index kernel, so the kernel runs exactly on the
+    # quads where 33.1 does not fire; at 480 that is 3,409 of 14,161, so
+    # both paths are taken.  At 1020 = 4 * 3 * 5 * 17, 33.2 misses one
+    # quad and 34 has one finding
     import zsindex.verifier as verifier
 
     scans = 0
@@ -554,7 +559,7 @@ def test_validate_lemmas_matches_outcome_sweep(monkeypatch):
     monkeypatch.setattr(verifier, "_index_numerator", counting)
     seen = {"violations": 0, "findings_34": 0}
     quads_and_scans = {}
-    for n in [*range(5, 131), 420, 480, 1001]:
+    for n in [*range(5, 131), 420, 480, 1001, 1020]:
         scans = 0
         got = dataclasses.asdict(dataclasses.replace(validate_lemmas(n), elapsed=0.0))
         assert got == dataclasses.asdict(_ref_validate_lemmas(n)), n
@@ -564,6 +569,8 @@ def test_validate_lemmas_matches_outcome_sweep(monkeypatch):
         seen["findings_34"] += len(got["findings_34"])
     assert min(seen.values()) > 0
     assert quads_and_scans[480] == (14161, 3409)
+    assert (got["quad_count"], got["fired"]["33.2"]) == (64516, 64515)
+    assert len(got["findings_34"]) == 1
 
 
 def test_three_prime_moduli_window():
