@@ -355,6 +355,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_lemma(args) -> int:
+    factorize(args.n)
     quad = NormalizedQuad(args.n, args.a, args.b, args.c)
     outcomes = _conditions(quad)
     structure: dict = {"s": compute_s(quad), "assumption_b": assumption_b(quad)}

@@ -8,20 +8,13 @@ use integer ceil/floor divisions equivalent to the rational bounds.
 Each condition has one kernel on plain integers that returns its first
 witness, or None when it does not fire; the lemma sweep reads the
 kernels, and the public functions wrap them in a LemmaOutcome.  The
-kernels of 33.1, 33.2 and 34 take a window [blo, bhi] of one row of the
+kernels of 33.1 and 33.2 take a window [blo, bhi] of one row of the
 normal forms (one c, with a = c + 1 - b) and return the witness of each
-b of the window; the public lemma33_cond1, lemma33_cond2 and
-lemma34_cond run them on the window [b, b].
-- 33.1 and 34 share, for each k, the lower end ceil(kn/c) of the
-  m-range and the least unit u above it across the row, so a b fires at
-  k exactly when u lies below its own upper end.  For 34 the clause
-  ab <= kn decides when b is open: ab = b(c+1-b) does not increase as b
-  grows, so as k grows the b values open from the right end of the
-  window leftwards.  Every b fires by k = b, where its m-range reaches
-  the unit n - 1, so 34 fires on every normal form.
-- 33.2 scans the units M <= n/2 once per row, and tests each b still
-  open.  The scan starts at M = 2: under M = 1 the residues a and b lie
-  below n/2, so at most one of the three inequalities holds.
+b of the window; the public lemma33_cond1 and lemma33_cond2 run them on
+the window [b, b].  The kernels of 34 and 35 scan one quad.  34 fires
+on every normal form (proof in verifier.validate_lemmas), so the sweep
+counts it from the row length and scans only the quads of index > 1,
+whose witnesses it records as findings.
 
 A 33.1 witness (k, m) also proves index 1 directly.  From kn <= mc,
 mb <= kn and ma < n, the residues of m, mc, -mb and -ma mod n are at
@@ -205,53 +198,15 @@ def _lemma33_cond2(
     return out
 
 
-def _lemma34_cond(
-    n: int, c: int, blo: int, bhi: int
-) -> list[tuple[int, int] | None]:
-    """The first (k, m) of 34, by k then m ascending, for each b of the
-    window [blo, bhi] of row c (a = c + 1 - b), listed by b.
-
-    As in 33.1, lo = ceil(kn/c) and u, the least unit >= lo, are the
-    same for the whole row, and the first unit of b's range [lo, kn//b]
-    is u exactly when bu <= kn.  So b fires at k, with witness (k, u),
-    exactly when ab <= kn, k <= b and bu <= kn.  Over the row ab =
-    b(c+1-b) does not increase as b grows, so as k grows the b values
-    open (ab <= kn) from the right end of the window leftwards.  Every b
-    fires by k = b: it is open there (a < n), and its range [lo, n]
-    holds the unit n - 1, so k <= b needs no test.  The open b are kept
-    in descending order, and opening and firing (b <= kn//u) both happen
-    at the small end; entered is the least b that has opened.  The scan
-    starts at the k where bhi opens and stops once every b has fired.
-    u is found by a gcd scan from lo, resumed from the last u, and only
-    at a k where the least open b has b lo <= kn.
-    """
-    out: list[tuple[int, int] | None] = [None] * (bhi - blo + 1)
-    open_bs: list[int] = []
-    entered = bhi + 1
-    u = 0
-    for k in range(_ceil_div(bhi * (c + 1 - bhi), n), bhi + 1):
+def _lemma34_cond(n: int, a: int, b: int, c: int) -> tuple[int, int] | None:
+    """The first (k, m) of 34, by k then m ascending.  The clause
+    ab <= kn holds from k = ceil(ab/n) on, so the scan starts there."""
+    for k in range(_ceil_div(a * b, n), b + 1):
         kn = k * n
-        while entered > blo and (entered - 1) * (c + 2 - entered) <= kn:
-            entered -= 1
-            open_bs.append(entered)
-        if not open_bs:
-            if entered == blo:
-                break
-            continue
-        least = open_bs[-1]
-        lo = _ceil_div(kn, c)
-        if least * lo > kn:
-            continue
-        if u < lo:
-            u = lo
-            while math.gcd(u, n) != 1:
-                u += 1
-        top = kn // u
-        if least <= top:
-            witness = (k, u)
-            while open_bs and open_bs[-1] <= top:
-                out[open_bs.pop() - blo] = witness
-    return out
+        for m in range(_ceil_div(kn, c), kn // b + 1):
+            if math.gcd(m, n) == 1:
+                return k, m
+    return None
 
 
 def _lemma35_cond(n: int, a: int, b: int) -> tuple[int, int] | None:
@@ -293,9 +248,9 @@ def lemma34_cond(quad: NormalizedQuad) -> LemmaOutcome:
     The final clause is suspected of being misstated at the source; the
     sweeps therefore report exceptions to this condition as findings
     rather than failures.  The witness is the first hit, scanning k
-    ascending and m ascending: the row kernel on the window [b, b].
+    ascending and m ascending.
     """
-    return _outcome("34", _lemma34_cond(quad.n, quad.c, quad.b, quad.b)[0])
+    return _outcome("34", _lemma34_cond(quad.n, quad.a, quad.b, quad.c))
 
 
 def compute_s(quad: NormalizedQuad) -> int:
@@ -344,9 +299,9 @@ def omega_build(quad: NormalizedQuad, alt_lower: bool = False) -> list[IntervalQ
     return out
 
 
-def compute_k1(quad: NormalizedQuad) -> int:
-    """Largest k <= b with ceil((k-1)n/c) = ceil((k-1)n/b) and an integer
-    in [kn/c, kn/b); defined only when ceil(n/c) = ceil(n/b).
+def _k1(n: int, b: int, c: int) -> int | None:
+    """compute_k1 on plain integers, for a normal form whose ceil(n/c) =
+    ceil(n/b) the caller has checked: k1, or None when no k qualifies.
 
     A k with (k-1)n(c-b) >= bc cannot qualify: then [(k-1)n/c, (k-1)n/b)
     has length >= 1, so it holds an integer and ceil((k-1)n/c) <
@@ -354,20 +309,31 @@ def compute_k1(quad: NormalizedQuad) -> int:
     (c > b in normal form), so the downward scan starts at the smaller
     of that bound and b.
     """
+    start = min(b, (b * c - 1) // (n * (c - b)) + 1)
+    for k in range(start, 0, -1):
+        if _ceil_div((k - 1) * n, c) != _ceil_div((k - 1) * n, b):
+            continue
+        if _ceil_div(k * n, c) < _ceil_div(k * n, b):
+            return k
+    return None
+
+
+def compute_k1(quad: NormalizedQuad) -> int:
+    """Largest k <= b with ceil((k-1)n/c) = ceil((k-1)n/b) and an integer
+    in [kn/c, kn/b); defined only when ceil(n/c) = ceil(n/b).
+
+    Raises CeilMismatch when the guard fails, and InvariantViolated when
+    no k qualifies.
+    """
     n, b, c = quad.n, quad.b, quad.c
     if _ceil_div(n, c) != _ceil_div(n, b):
         raise CeilMismatch(
             f"ceil(n/c) = {_ceil_div(n, c)} != ceil(n/b) = {_ceil_div(n, b)}"
         )
-    start = min(b, (b * c - 1) // (n * (c - b)) + 1)
-    for k in range(start, 0, -1):
-        if _ceil_div((k - 1) * n, c) != _ceil_div((k - 1) * n, b):
-            continue
-        lo = _ceil_div(k * n, c)
-        hi = _ceil_div(k * n, b) - 1
-        if lo <= hi:
-            return k
-    raise InvariantViolated(f"no admissible k1 for (n, b, c) = ({n}, {b}, {c})")
+    k1 = _k1(n, b, c)
+    if k1 is None:
+        raise InvariantViolated(f"no admissible k1 for (n, b, c) = ({n}, {b}, {c})")
+    return k1
 
 
 def structure_params(quad: NormalizedQuad) -> StructureParams:

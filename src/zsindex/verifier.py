@@ -56,7 +56,6 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .classify import (
-    NormalizedQuad,
     Pattern,
     _match_gcd_pattern,
     _normal_form_rows,
@@ -64,13 +63,14 @@ from .classify import (
     classify_pattern,
     normalize_quad,
 )
-from .errors import CeilMismatch, InvariantViolated, PreconditionViolated
+from .errors import PreconditionViolated
 from .lemmas import (
+    _ceil_div,
+    _k1,
     _lemma33_cond1,
     _lemma33_cond2,
     _lemma34_cond,
     _lemma35_cond,
-    compute_k1,
     remark32_check,
 )
 from .sequences import (
@@ -611,16 +611,19 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
     """Sweep every normalized quad over Z_n through the conditions that
     apply to it: 33.1, 33.2 and 34 always, 35 when s = b // a >= 2.
 
-    The normal forms are walked one row (one c) at a time.  The 33.1,
-    33.2 and 34 witnesses of a whole row come from one call of each row
-    kernel, and their fired counts are the entries that are not None.
-    Per quad only 35, the index and the probes remain.  A 33.1 witness
-    (k, m) certifies index 1 when the norm of the quad under m is n (it
-    always is; the proof is in the lemmas module docstring), and only the
-    other quads run the index kernel.  A condition firing while the
-    oracle index exceeds 1 is recorded as a violation (as a finding for
-    the condition with the suspect final clause); the quad's elements and
-    records are built only then.
+    The normal forms are walked one row (one c) at a time.  The 33.1 and
+    33.2 witnesses of a whole row come from one call of each row kernel,
+    and their fired counts are the entries that are not None.  34 fires
+    on every normal form, so its count is the row length: at k = b its
+    clause ab <= bn holds (a < n), and its m-range [ceil(bn/c), n] holds
+    the unit n - 1, since (c - b)n >= c (b < c < n).  Per quad only 35,
+    the index and the probes remain.  A 33.1 witness (k, m) certifies
+    index 1 when the norm of the quad under m is n (it always is; the
+    proof is in the lemmas module docstring), and only the other quads
+    run the index kernel.  A condition firing while the oracle index
+    exceeds 1 is recorded as a violation (as a finding for 34, the
+    condition with the suspect final clause); the quad's elements,
+    records and 34 witness are built only then.
     Structural probes run only for n > 1000: under the
     no-coprime-multiplier assumption, s should stay <= 9 and, when
     defined, k1 <= 6.
@@ -641,11 +644,12 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
         blo, bhi = bs.start, bs.stop - 1
         row331 = _lemma33_cond1(n, c, blo, bhi)
         row332 = _lemma33_cond2(n, c, blo, bhi)
-        row34 = _lemma34_cond(n, c, blo, bhi)
-        for name, row in (("33.1", row331), ("33.2", row332), ("34", row34)):
+        for name, row in (("33.1", row331), ("33.2", row332)):
             fired[name] += len(row) - row.count(None)
+        fired["34"] += len(bs)
         quad_count += len(bs)
-        for b, w331, w332, w34 in zip(bs, row331, row332, row34):
+        ceil_nc = _ceil_div(n, c)
+        for b, w331, w332 in zip(bs, row331, row332):
             a = c + 1 - b
             m = w331[1] if w331 else 0
             if m and m + m * c % n + m * (n - b) % n + m * (n - a) % n == n:
@@ -661,7 +665,7 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
                 for name, witness in (
                     ("33.1", w331),
                     ("33.2", w332),
-                    ("34", w34),
+                    ("34", _lemma34_cond(n, a, b, c)),
                     ("35", w35),
                 ):
                     if witness is None:
@@ -680,14 +684,12 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
             if probes_on and w35 is None:
                 if s > 9:
                     probe_s.append((n, a, b, c))
-                try:
-                    k1 = compute_k1(NormalizedQuad(n, a, b, c))
-                    if k1 > 6:
+                if ceil_nc == _ceil_div(n, b):
+                    k1 = _k1(n, b, c)
+                    if k1 is None:
+                        k1_undefined += 1
+                    elif k1 > 6:
                         probe_k1.append((n, a, b, c))
-                except InvariantViolated:
-                    k1_undefined += 1
-                except CeilMismatch:
-                    pass
     vacuous = {
         "lemma35": s_applicable == 0,
         "probes": not probes_on,

@@ -499,6 +499,7 @@ def test_runtime_error_exit_one(capsys):
         ("enumerate", "--n", "1"),
         ("validate", "--target", "lemmas", "--n", "1"),
         ("classify", "--n", "3000000000", "--seq", "1,2"),
+        ("lemma", "--n", "3000000000", "--a", "2", "--b", "3", "--c", "4"),
     ],
 )
 def test_out_of_range_modulus_is_an_error_line(capsys, argv):

@@ -34,7 +34,7 @@ from zsindex import (
     structure_params,
 )
 from zsindex.classify import _normal_form_quads, _normal_form_rows
-from zsindex.lemmas import _lemma33_cond1, _lemma33_cond2, _lemma34_cond
+from zsindex.lemmas import _lemma33_cond1, _lemma33_cond2
 
 
 def test_interval_integers_examples():
@@ -317,7 +317,8 @@ def test_bounded_k_scans_match_unbounded_references():
     # intervals imply; every normal form of n = 5..150, 420 and 1013 must
     # give the witness, fired flag and k1 of the full scans, and the
     # public wrappers of all four conditions must agree with the
-    # references
+    # references; 34 fires on every form, which the lemma sweep's count
+    # relies on
     forms = 0
     for n in [*range(5, 151), 420, 1013]:
         for a, b, c in _normal_form_quads(n):
@@ -329,6 +330,7 @@ def test_bounded_k_scans_match_unbounded_references():
             assert (out.fired, out.witness) == _ref_lemma33_cond2(n, a, b, c), quad
             out = lemma34_cond(quad)
             assert (out.fired, out.witness) == _ref_lemma34_cond(n, a, b, c), quad
+            assert out.fired, quad
             if b // a >= 2:
                 out = lemma35_cond(quad)
                 assert (out.fired, out.witness) == _ref_lemma35_cond(n, a, b), quad
@@ -374,17 +376,6 @@ def test_lemma33_cond2_row_kernel_matches_reference():
     # r > n // 2 differs from r >= n // 2 at r = (n - 1) / 2
     ns = [*range(5, 151), 420, 1020]
     assert _check_row_kernel(_lemma33_cond2, _ref_lemma33_cond2, ns, 332) > 5_000
-
-
-def test_lemma34_row_kernel_matches_reference():
-    # the 34 row kernel against the unbounded per-quad scan, which tests
-    # ab <= kn and k <= b for each b on its own, on n = 5..150, 420 and
-    # 1020; the kernel tests no k <= b, since every b fires by k = b
-    ns = [*range(5, 151), 420, 1020]
-    assert _check_row_kernel(_lemma34_cond, _ref_lemma34_cond, ns, 34) > 5_000
-    for n in ns:
-        for c, bs in _normal_form_rows(n):
-            assert None not in _lemma34_cond(n, c, bs.start, bs.stop - 1), (n, c)
 
 
 def test_lemma33_witness_norm_is_n():

@@ -465,13 +465,13 @@ def test_validate_lemmas_even_modulus_misfires():
 
 
 def test_validate_lemmas_k1_probe_propagates_unexpected_errors(monkeypatch):
-    # the probe tolerates only the errors compute_k1 documents
+    # the probe catches no error: one raised by its k1 kernel escapes
     import zsindex.verifier as verifier
 
-    def broken(quad):
+    def broken(n, b, c):
         raise TypeError("not a documented k1 failure")
 
-    monkeypatch.setattr(verifier, "compute_k1", broken)
+    monkeypatch.setattr(verifier, "_k1", broken)
     with pytest.raises(TypeError, match="not a documented"):
         validate_lemmas(1001)
 
