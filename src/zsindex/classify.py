@@ -48,7 +48,6 @@ class GcdProfile:
     """Per-element gcds with n, aligned with the sorted sequence."""
 
     gcds: tuple[int, ...]
-    active_primes: tuple[frozenset[int], ...]
     global_gcd: int
 
 
@@ -100,14 +99,6 @@ def _normal_form_rows(n: int) -> Iterator[tuple[int, range]]:
         yield c, range((c + 2) // 2, c)
 
 
-def _normal_form_quads(n: int) -> Iterator[tuple[int, int, int]]:
-    """Every parameter triple (a, b, c) of the normal form over Z_n, by c
-    then b: the rows of _normal_form_rows in order."""
-    for c, bs in _normal_form_rows(n):
-        for b in bs:
-            yield c + 1 - b, b, c
-
-
 def denormalize(quad: NormalizedQuad) -> GroupSequence:
     """The sorted quad [1, c, n-b, n-a] as a sequence over Z_n."""
     return GroupSequence.of(quad.n, quad.elems)
@@ -116,10 +107,8 @@ def denormalize(quad: NormalizedQuad) -> GroupSequence:
 def gcd_profile(seq: GroupSequence) -> GcdProfile:
     n = seq.n
     gcds = tuple(math.gcd(x, n) for x in seq.elems)
-    primes = seq.modulus.prime_divisors
-    active = tuple(frozenset(p for p in primes if g % p == 0) for g in gcds)
     global_gcd = math.gcd(*gcds)
-    return GcdProfile(gcds=gcds, active_primes=active, global_gcd=global_gcd)
+    return GcdProfile(gcds=gcds, global_gcd=global_gcd)
 
 
 def normalize_quad(seq: GroupSequence) -> NormalizedQuad | None:

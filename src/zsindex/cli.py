@@ -40,7 +40,7 @@ from .verifier import (
     validate_theorem21,
     verify_many,
 )
-from .zncore import factorize
+from .zncore import factorize, modulus_range
 
 _FORMATS = ("json", "csv", "text")
 # Hashed into every cache digest.  Bump it when a cached row's meaning
@@ -422,7 +422,7 @@ def cmd_verify(args) -> int:
     digest = _config_digest()
     ns = [
         n
-        for n in range(args.min, args.max + 1)
+        for n in modulus_range(args.min, args.max)
         if not args.coprime_to_6 or math.gcd(n, 6) == 1
     ]
     cached = (
@@ -539,7 +539,7 @@ def cmd_validate(args) -> int:
     if args.n is not None:
         ns = [args.n]
     elif args.min is not None and args.max is not None:
-        ns = list(range(max(args.min, 2), args.max + 1))
+        ns = list(modulus_range(max(args.min, 2), args.max))
     else:
         raise UsageError(f"{args.target} needs --n or both --min and --max")
 

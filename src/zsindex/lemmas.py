@@ -74,29 +74,10 @@ class LemmaOutcome:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class StructureParams:
-    """Derived quantities s = b//a, k1 (None when undefined), and the
-    no-coprime-multiplier assumption used by the structural probes."""
-
-    s: int
-    k1: int | None
-    assumption_b: bool
-
-
 def interval_integers(interval: IntervalQ) -> list[int]:
     """All integers inside the interval, honoring open endpoints."""
     lo_int, hi_int = interval.integer_bounds()
     return list(range(lo_int, hi_int + 1))
-
-
-def coprime_in_interval(interval: IntervalQ, n: int) -> int | None:
-    """Smallest integer in the interval coprime to n, or None."""
-    lo_int, hi_int = interval.integer_bounds()
-    for m in range(lo_int, hi_int + 1):
-        if math.gcd(m, n) == 1:
-            return m
-    return None
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -286,7 +267,10 @@ def omega_build(quad: NormalizedQuad, alt_lower: bool = False) -> list[IntervalQ
     """The intervals [(2s-2t-1)n/2b, (s-t)n/b] for t in [0, floor(s/2)-1].
 
     With alt_lower the lower endpoints use the coefficient (2s-t-1)
-    instead; both variants are exact and closed on both ends.
+    instead; both variants are exact and closed on both ends.  Only the
+    `lemma --omega` display reads this: _lemma35_cond scans the same
+    intervals by integer bounds (a kernel built on these Fractions made
+    validate_lemmas(1001) 1.65x slower), and the tests check they agree.
     """
     n, b = quad.n, quad.b
     s = compute_s(quad)
@@ -334,17 +318,6 @@ def compute_k1(quad: NormalizedQuad) -> int:
     if k1 is None:
         raise InvariantViolated(f"no admissible k1 for (n, b, c) = ({n}, {b}, {c})")
     return k1
-
-
-def structure_params(quad: NormalizedQuad) -> StructureParams:
-    """Bundle s, k1 (None when the ceil guard fails) and assumption_b."""
-    try:
-        k1: int | None = compute_k1(quad)
-    except CeilMismatch:
-        k1 = None
-    return StructureParams(
-        s=compute_s(quad), k1=k1, assumption_b=assumption_b(quad)
-    )
 
 
 def lemma51_bound(

@@ -20,7 +20,7 @@ from .errors import (
     NotAUnit,
     NotMinimal,
 )
-from .zncore import Modulus, _lift_table, factorize, residue_rep
+from .zncore import Modulus, factorize, residue_rep
 
 # Guard for subset enumeration in minimality tests.
 MAX_MINIMALITY_LENGTH = 24
@@ -195,14 +195,19 @@ def _canonical_tuple(n: int, elems: tuple[int, ...], d: int) -> tuple[int, ...]:
     x is the set of residues with the same gcd, whose smallest member is
     that gcd, so the minimum starts with d and the only candidate
     multipliers are the units t with t * x == d for an element x with
-    gcd(x, n) == d.
+    gcd(x, n) == d.  With m = n // d, those x are the multiples d * r
+    with gcd(r, m) == 1, and their t are the lifts t = r^-1 mod m + j * m
+    in [1, n) with gcd(t, n) == 1; no table of n entries is built.
     """
-    lifts = _lift_table(n, d)
+    m = n // d
     best: tuple[int, ...] | None = None
     for x in elems:
-        if x % d:
+        r = x // d
+        if x % d or math.gcd(r, m) != 1:
             continue
-        for t in lifts[x // d]:
+        for t in range(pow(r, -1, m), n, m):
+            if math.gcd(t, n) != 1:
+                continue
             cand = tuple(sorted([t * y % n for y in elems]))
             if best is None or cand < best:
                 best = cand

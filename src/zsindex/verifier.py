@@ -80,7 +80,7 @@ from .sequences import (
     _min_gcd,
     _multiset_minimal_zero_sum,
 )
-from .zncore import Modulus, factorize
+from .zncore import Modulus, factorize, modulus_range
 
 
 @dataclass(frozen=True)
@@ -711,7 +711,7 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
 def three_prime_moduli(lo: int, hi: int, coprime_to_6: bool = True) -> list[int]:
     """Moduli in (lo, hi] that are products of three distinct primes."""
     out = []
-    for n in range(max(lo + 1, 2), hi + 1):
+    for n in modulus_range(max(lo + 1, 2), hi):
         mod = factorize(n)
         if not mod.is_squarefree or len(mod.prime_divisors) != 3:
             continue

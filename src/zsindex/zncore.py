@@ -78,28 +78,6 @@ def _unit_mask(n: int, prime_divisors: tuple[int, ...]) -> bytes:
     return bytes(mask)
 
 
-@lru_cache(maxsize=8)
-def _lift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Entry r lists the units t of Z_n with t * d * r == d (mod n).
-
-    Those are the lifts of r^-1 mod n // d that are units mod n; the
-    entry is empty unless gcd(r, n // d) == 1, i.e. gcd(d * r, n) == d.
-    Its one reader is sequences._canonical_tuple, which needs every
-    lift: callers that need only r^-1 mod n // d (the stripe's unit
-    images, the normal form's multipliers) take it from pow instead of
-    building n entries.  The cache holds about one modulus's tables; a
-    range sweep never returns to a modulus, so more would only be stale.
-    """
-    m = n // d
-    mask = factorize(n).unit_mask()
-    return tuple(
-        tuple(t for t in range(pow(r, -1, m), n, m) if mask[t])
-        if math.gcd(r, m) == 1
-        else ()
-        for r in range(m)
-    )
-
-
 @lru_cache(maxsize=4096)
 def factorize(n: int) -> Modulus:
     """Factor n by trial division (2, then odd p while p * p <= what is
@@ -121,6 +99,13 @@ def factorize(n: int) -> Modulus:
     if remaining > 1:
         factors.append((remaining, 1))
     return Modulus(n=n, factors=tuple(factors))
+
+
+def modulus_range(lo: int, hi: int) -> range:
+    """range(lo, hi + 1), refused with ModulusOutOfRange if hi > MAX_MODULUS."""
+    if hi > MAX_MODULUS:
+        raise ModulusOutOfRange(f"modulus must be in [2, 2^31], got {hi}")
+    return range(lo, hi + 1)
 
 
 def residue_rep(x: int, n: int) -> int:

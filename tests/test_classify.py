@@ -3,6 +3,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,12 +15,12 @@ from zsindex import (
     Pattern,
     PatternClass,
     PreconditionViolated,
+    canonical_rep,
     classify_pattern,
     denormalize,
     gcd_profile,
     normalize_quad,
     seq_norm,
-    zncore,
 )
 
 
@@ -32,17 +33,10 @@ def test_gcd_profile_examples():
     p = gcd_profile(_seq(385, [1, 35, 330, 308]))
     assert p.gcds == (1, 35, 77, 55)
     assert sorted(p.gcds) == [1, 35, 55, 77]
-    assert p.active_primes == (
-        frozenset(),
-        frozenset({5, 7}),
-        frozenset({7, 11}),
-        frozenset({5, 11}),
-    )
     assert p.global_gcd == 1
 
     p = gcd_profile(_seq(385, [2, 3, 4, 6]))
     assert p.gcds == (1, 1, 1, 1)
-    assert all(t == frozenset() for t in p.active_primes)
 
     assert gcd_profile(_seq(25, [5, 10, 15, 20])).global_gcd == 5
 
@@ -120,13 +114,21 @@ def test_normalize_examples():
     assert (q.a, q.b, q.c, q.unit) == (2, 3, 4, 4)
 
 
-def test_normalize_builds_no_lift_table():
-    # the multipliers are the inverses of the unit elements: a large
-    # prime modulus costs no table of n entries
-    zncore._lift_table.cache_clear()
-    q = normalize_quad(_seq(2000003, [1, 2, 3, 1999997]))
+def test_canonical_forms_build_no_table():
+    # both canonical forms take their multipliers from pow: a large prime
+    # modulus costs no table of n entries (about 170 MB at this n)
+    n = 2000003
+    seq = _seq(n, [1, 2, 3, n - 6])
+    tracemalloc.start()
+    try:
+        rep = canonical_rep(seq)
+        q = normalize_quad(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.elems == (1, 2, 3, n - 6)
     assert (q.a, q.b, q.c, q.unit) == (2, 666667, 666668, 666668)
-    assert zncore._lift_table.cache_info().misses == 0
+    assert peak < 4_000_000
 
 
 def test_normalize_requires_coprime_element():

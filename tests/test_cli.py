@@ -500,6 +500,11 @@ def test_runtime_error_exit_one(capsys):
         ("validate", "--target", "lemmas", "--n", "1"),
         ("classify", "--n", "3000000000", "--seq", "1,2"),
         ("lemma", "--n", "3000000000", "--a", "2", "--b", "3", "--c", "4"),
+        # --max is checked before the list of moduli up to it is built
+        ("verify", "--min", "5", "--max", "10000000000"),
+        ("validate", "--target", "lemmas", "--min", "5", "--max", "10000000000"),
+        ("validate", "--target", "theorem21", "--min", "5", "--max", "10000000000"),
+        ("validate", "--target", "remark32", "--min", "5", "--max", "10000000000"),
     ],
 )
 def test_out_of_range_modulus_is_an_error_line(capsys, argv):

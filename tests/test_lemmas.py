@@ -20,7 +20,6 @@ from zsindex import (
     assumption_b,
     compute_k1,
     compute_s,
-    coprime_in_interval,
     denormalize,
     index_of,
     interval_integers,
@@ -31,9 +30,8 @@ from zsindex import (
     lemma51_bound,
     omega_build,
     remark32_check,
-    structure_params,
 )
-from zsindex.classify import _normal_form_quads, _normal_form_rows
+from zsindex.classify import _normal_form_rows
 from zsindex.lemmas import _lemma33_cond1, _lemma33_cond2
 
 
@@ -57,12 +55,6 @@ def test_interval_endpoint_flags():
 def test_interval_rejects_reversed():
     with pytest.raises(InvariantViolated):
         IntervalQ(Fraction(5), Fraction(3))
-
-
-def test_coprime_in_interval():
-    assert coprime_in_interval(IntervalQ(Fraction(11, 4), Fraction(11, 3)), 11) == 3
-    assert coprime_in_interval(IntervalQ(Fraction(4), Fraction(6)), 60) is None
-    assert coprime_in_interval(IntervalQ(Fraction(4), Fraction(7)), 60) == 7
 
 
 def test_lemma33_cond1_example():
@@ -148,13 +140,6 @@ def test_assumption_b():
     assert assumption_b(NormalizedQuad(11, 2, 4, 5)) is False  # lemma 35 fires
 
 
-def test_structure_params():
-    p = structure_params(NormalizedQuad(11, 2, 3, 4))
-    assert (p.s, p.k1, p.assumption_b) == (1, None, True)
-    p = structure_params(NormalizedQuad(11, 2, 4, 5))
-    assert (p.s, p.k1, p.assumption_b) == (2, 2, False)
-
-
 def test_omega_single_interval_when_s_is_2():
     quad = NormalizedQuad(13, 2, 5, 6)
     assert compute_s(quad) == 2
@@ -236,6 +221,13 @@ def test_conditions_sound_on_small_moduli():
                     assert value == 1, (n, a, b, c)
 
 
+def _normal_form_quads(n):
+    # every (a, b, c) of the normal form over Z_n, by c then b
+    for c, bs in _normal_form_rows(n):
+        for b in bs:
+            yield c + 1 - b, b, c
+
+
 def _ref_lemma33_cond1(n, a, b, c):
     # unbounded k-scan: every k in [1, b], empty m-ranges included
     m_cap = (n - 1) // a
@@ -277,13 +269,11 @@ def _ref_lemma33_cond2(n, a, b, c):
     return False, None
 
 
-def _ref_lemma35_cond(n, a, b):
-    # a window one wider than the interval of t on each side, each m
-    # tested against the exact rational endpoints
-    s = b // a
-    for t in range(s // 2):
-        lo = Fraction((2 * s - 2 * t - 1) * n, 2 * b)
-        hi = Fraction((s - t) * n, b)
+def _ref_lemma35_cond(n, a, b, c):
+    # the intervals of the --omega display, with a window one wider than
+    # each on both sides, each m tested against the exact endpoints
+    for t, interval in enumerate(omega_build(NormalizedQuad(n, a, b, c))):
+        lo, hi = interval.lo, interval.hi
         for m in range(math.floor(lo) - 1, math.ceil(hi) + 2):
             if lo <= m <= hi and math.gcd(m, n) == 1:
                 return True, (t, m)
@@ -333,7 +323,7 @@ def test_bounded_k_scans_match_unbounded_references():
             assert out.fired, quad
             if b // a >= 2:
                 out = lemma35_cond(quad)
-                assert (out.fired, out.witness) == _ref_lemma35_cond(n, a, b), quad
+                assert (out.fired, out.witness) == _ref_lemma35_cond(n, a, b, c), quad
             assert _k1_or_error(quad) == _ref_compute_k1(n, b, c), quad
     assert forms > 140_000
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from zsindex import Modulus, NotAUnit, factorize, inv_mod, residue_rep, zncore
+from zsindex import Modulus, NotAUnit, factorize, inv_mod, residue_rep
 
 
 def test_factorize_385():
@@ -134,20 +134,6 @@ def test_unit_mask_matches_gcd():
         assert len(mask) == n
         for r in range(n):
             assert bool(mask[r]) == (math.gcd(r, n) == 1)
-
-
-def test_inverse_table():
-    # for d = 1 the entry of a unit r is its inverse alone; other entries
-    # are empty
-    for n in (10, 11, 385):
-        mask = factorize(n).unit_mask()
-        table = zncore._lift_table(n, 1)
-        assert len(table) == n
-        for r, lifts in enumerate(table):
-            if mask[r]:
-                assert len(lifts) == 1 and r * lifts[0] % n == 1
-            else:
-                assert lifts == ()
 
 
 def test_divisors():
