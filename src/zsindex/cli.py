@@ -92,11 +92,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--omega", action="store_true", help="include the interval system")
-    p.add_argument(
-        "--alt-lower",
-        action="store_true",
-        help="use the alternate lower-endpoint exponent for the intervals",
-    )
     common(p)
 
     p = sub.add_parser("enumerate", help="canonical minimal quad classes")
@@ -381,7 +376,7 @@ def cmd_lemma(args) -> int:
         "structure": structure,
     }
     if args.omega:
-        payload["omega"] = omega_build(quad, alt_lower=args.alt_lower)
+        payload["omega"] = omega_build(quad)
     lines = [
         f"{o.lemma_id}: fired={o.fired} witness={o.witness}" for o in outcomes
     ] + [f"structure: {structure}"]

@@ -263,20 +263,19 @@ def assumption_b(quad: NormalizedQuad) -> bool:
     return _lemma35_cond(quad.n, quad.a, quad.b) is None
 
 
-def omega_build(quad: NormalizedQuad, alt_lower: bool = False) -> list[IntervalQ]:
+def omega_build(quad: NormalizedQuad) -> list[IntervalQ]:
     """The intervals [(2s-2t-1)n/2b, (s-t)n/b] for t in [0, floor(s/2)-1].
 
-    With alt_lower the lower endpoints use the coefficient (2s-t-1)
-    instead; both variants are exact and closed on both ends.  Only the
-    `lemma --omega` display reads this: _lemma35_cond scans the same
-    intervals by integer bounds (a kernel built on these Fractions made
-    validate_lemmas(1001) 1.65x slower), and the tests check they agree.
+    They are exact and closed on both ends.  Only the `lemma --omega`
+    display reads this: _lemma35_cond scans the same intervals by integer
+    bounds (a kernel built on these Fractions made validate_lemmas(1001)
+    1.65x slower), and the tests check they agree.
     """
     n, b = quad.n, quad.b
     s = compute_s(quad)
     out = []
     for t in range(s // 2):
-        coeff = (2 * s - t - 1) if alt_lower else (2 * s - 2 * t - 1)
+        coeff = 2 * s - 2 * t - 1
         out.append(
             IntervalQ(Fraction(coeff * n, 2 * b), Fraction((s - t) * n, b))
         )

@@ -111,14 +111,15 @@ def is_minimal_zero_sum(seq: GroupSequence) -> bool:
     return _multiset_minimal_zero_sum(seq.n, seq.elems)
 
 
-def _index_numerator(n: int, elems: tuple[int, ...], mask: bytes) -> tuple[int, int]:
+def _index_numerator(n: int, elems: tuple[int, ...]) -> tuple[int, int]:
     """(min norm numerator, smallest witness unit) for a raw tuple.
 
-    Scans units in increasing order and stops early once the norm hits
-    the theoretical floor (the least multiple of n that is >= k for a
-    zero-sum sequence, k otherwise), which no unit can beat.  The first
-    unit is t = 1, whose norm is the plain sum of elements in [1, n-1],
-    so a sum at the floor returns before the scan of t >= 2.
+    Scans the units t (gcd(t, n) == 1, tested per t: no table of n
+    entries is built) in increasing order and stops early once the norm
+    hits the theoretical floor (the least multiple of n that is >= k for
+    a zero-sum sequence, k otherwise), which no unit can beat.  The
+    first unit is t = 1, whose norm is the plain sum of elements in
+    [1, n-1], so a sum at the floor returns before the scan of t >= 2.
     """
     k = len(elems)
     best = sum(elems)
@@ -127,7 +128,7 @@ def _index_numerator(n: int, elems: tuple[int, ...], mask: bytes) -> tuple[int, 
     if best <= floor_sum:
         return best, witness
     for t in range(2, n):
-        if not mask[t]:
+        if math.gcd(t, n) != 1:
             continue
         total = 0
         for x in elems:
@@ -143,7 +144,7 @@ def _index_numerator(n: int, elems: tuple[int, ...], mask: bytes) -> tuple[int, 
 def index_of(seq: GroupSequence) -> IndexResult:
     """Minimum norm over all units, with the smallest achieving t."""
     n = seq.n
-    best, witness = _index_numerator(n, seq.elems, seq.modulus.unit_mask())
+    best, witness = _index_numerator(n, seq.elems)
     return IndexResult(
         numerator=best,
         modulus_n=n,

@@ -355,7 +355,6 @@ def verify_conjecture(n: int) -> VerifyReport:
     """
     t0 = time.perf_counter()
     mod = factorize(n)
-    mask = mod.unit_mask()
     cofactors = tuple(n // p for p in mod.prime_divisors)
     three_prime = mod.is_squarefree and len(mod.prime_divisors) == 3
     census: Counter[Pattern] = Counter()
@@ -364,7 +363,7 @@ def verify_conjecture(n: int) -> VerifyReport:
     max_index = 0
     classes = all_minimal_quad_classes(n)
     for elems in classes:
-        num, _ = _index_numerator(n, elems, mask)
+        num, _ = _index_numerator(n, elems)
         value = num // n
         if value > max_index:
             max_index = value
@@ -516,7 +515,7 @@ def search_high_index(
     for n in range(max(n_lo, 2), n_hi + 1):
         if k >= n:
             continue
-        mask = factorize(n).unit_mask()
+        factorize(n)  # refuses n > 2^31, which random sampling never checks
         if mode == "random":
             stream = _sample_minimal_tuples(n, k, samples, rng)
         elif k == 4:
@@ -526,7 +525,7 @@ def search_high_index(
         # the index numerator is constant on a class: keep the first
         found: dict[tuple[int, ...], int] = {}
         for elems in stream:
-            num, _ = _index_numerator(n, elems, mask)
+            num, _ = _index_numerator(n, elems)
             if num >= min_index * n:
                 found.setdefault(_canonical_tuple(n, elems, _min_gcd(n, elems)), num)
         hits.extend(
@@ -564,7 +563,6 @@ def validate_theorem21(n: int) -> Theorem21Report:
         raise PreconditionViolated(
             f"validator needs squarefree n with 3 or 4 primes, got {mod.factors}"
         )
-    mask = mod.unit_mask()
     primes = mod.prime_divisors
     census: Counter[Pattern] = Counter()
     anomalies: list[Counterexample] = []
@@ -579,7 +577,7 @@ def validate_theorem21(n: int) -> Theorem21Report:
             pattern = _match_gcd_pattern(gcds, primes).pattern
             detail = "reduced class outside the gcd-multiset statements"
         if pattern is Pattern.OTHER:
-            num, _ = _index_numerator(n, elems, mask)
+            num, _ = _index_numerator(n, elems)
             anomalies.append(
                 Counterexample(
                     n=n,
@@ -629,8 +627,7 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
     defined, k1 <= 6.
     """
     t0 = time.perf_counter()
-    mod = factorize(n)
-    mask = mod.unit_mask()
+    factorize(n)  # refuses n outside [2, 2^31]
     fired = {"33.1": 0, "33.2": 0, "34": 0, "35": 0}
     violations: dict[str, list[Counterexample]] = {"33.1": [], "33.2": [], "35": []}
     findings_34: list[Counterexample] = []
@@ -655,7 +652,7 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
             if m and m + m * c % n + m * (n - b) % n + m * (n - a) % n == n:
                 num = n
             else:
-                num, _ = _index_numerator(n, _quad_elems(n, a, b, c), mask)
+                num, _ = _index_numerator(n, _quad_elems(n, a, b, c))
             s = b // a
             s_applicable += s >= 2
             w35 = _lemma35_cond(n, a, b) if s >= 2 else None
@@ -736,7 +733,6 @@ def validate_remark32(lo: int, hi: int) -> Remark32Report:
     bounded = (Pattern.A2, Pattern.A3, Pattern.A4)
     for n in moduli:
         mod = factorize(n)
-        mask = mod.unit_mask()
         n_qualifying = 0
         for elems in _reduced_unit_classes(n):
             seq = GroupSequence(mod, elems)
@@ -749,7 +745,7 @@ def validate_remark32(lo: int, hi: int) -> Remark32Report:
             n_qualifying += 1
             census[cls.pattern] += 1
             if not remark32_check(quad, cls.pattern):
-                num, _ = _index_numerator(n, elems, mask)
+                num, _ = _index_numerator(n, elems)
                 violations.append(
                     Counterexample(
                         n=n,

@@ -57,25 +57,12 @@ class Modulus:
             value *= (p - 1) * p ** (mult - 1)
         return value
 
-    def unit_mask(self) -> bytes:
-        """Length-n lookup table: entry r is 1 iff gcd(r, n) == 1."""
-        return _unit_mask(self.n, self.prime_divisors)
-
     def divisors(self) -> tuple[int, ...]:
         """All positive divisors of n in increasing order."""
         divs = [1]
         for p, mult in self.factors:
             divs = [d * p**e for d in divs for e in range(mult + 1)]
         return tuple(sorted(divs))
-
-
-@lru_cache(maxsize=8)  # one modulus at a time: a range sweep never returns to one
-def _unit_mask(n: int, prime_divisors: tuple[int, ...]) -> bytes:
-    mask = bytearray(b"\x01") * n
-    mask[0] = 0
-    for p in prime_divisors:
-        mask[0::p] = bytes(len(range(0, n, p)))
-    return bytes(mask)
 
 
 @lru_cache(maxsize=4096)

@@ -483,6 +483,9 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "nonsense")[0] == 1
     assert run_cli(capsys)[0] == 1
     assert run_cli(capsys, "index", "--n", "11", "--seq", "1,4,x")[0] == 1
+    # the alternate lower endpoint of the omega intervals is deleted
+    argv = ("lemma", "--n", "21", "--a", "2", "--b", "9", "--c", "10", "--omega")
+    assert run_cli(capsys, *argv, "--alt-lower")[0] == 1
 
 
 def test_runtime_error_exit_one(capsys):

@@ -149,15 +149,11 @@ def test_omega_single_interval_when_s_is_2():
 
 def test_omega_lower_coefficient_variants():
     quad = NormalizedQuad(21, 2, 9, 10)  # s = 4, intervals for t = 0, 1
-    default = omega_build(quad)
-    alt = omega_build(quad, alt_lower=True)
-    assert len(default) == len(alt) == 2
-    # t = 0: both coefficients equal 2s - 1
-    assert default[0] == alt[0] == IntervalQ(Fraction(7 * 21, 18), Fraction(4 * 21, 9))
-    # t = 1: (2s - 2t - 1) = 5 versus (2s - t - 1) = 6
-    assert default[1].lo == Fraction(5 * 21, 18)
-    assert alt[1].lo == Fraction(6 * 21, 18)
-    assert default[1].hi == alt[1].hi == Fraction(3 * 21, 9)
+    omega = omega_build(quad)
+    assert len(omega) == 2
+    # the lower coefficient is 2s - 2t - 1: 7 at t = 0, 5 at t = 1
+    assert omega[0] == IntervalQ(Fraction(7 * 21, 18), Fraction(4 * 21, 9))
+    assert omega[1] == IntervalQ(Fraction(5 * 21, 18), Fraction(3 * 21, 9))
 
 
 def test_lemma51_anchors():
@@ -383,6 +379,21 @@ def test_lemma33_witness_norm_is_n():
                 checked += 1
     assert checked > 100_000
 
+
+
+def test_lemma33_cond1_covers_every_form_exactly_when_5_does_not_divide_n():
+    # for n <= 700 coprime to 6, 33.1 fires on every normal form when
+    # 5 does not divide n, and misses at least one form at every
+    # multiple of 5 from 25 on (n = 5 has no normal form at all)
+    missed = []
+    for n in range(5, 701):
+        if math.gcd(n, 6) != 1:
+            continue
+        for c, bs in _normal_form_rows(n):
+            if None in _lemma33_cond1(n, c, bs.start, bs.stop - 1):
+                missed.append(n)
+                break
+    assert missed == [n for n in range(25, 701, 5) if math.gcd(n, 6) == 1]
 
 def test_wrapper_outcomes_pinned():
     # every field of each public wrapper's outcome, the detail included

@@ -198,3 +198,70 @@ def test_class_counts_nonnegative_and_census_bounded():
         assert report.class_count >= 0
         assert sum(report.pattern_census.values()) <= report.class_count
         assert (report.max_index == 1) == (not report.counterexamples)
+
+
+def _sorted_minimal_quad_count(n):
+    # |X|, X the sorted minimal zero-sum quads over Z_n, in O(n^2): fix
+    # x1 <= x2 with x1 + x2 != 0 and s = -(x1 + x2) mod n; then x3 + x4
+    # is s or s + n, and only x1 + x3 and x2 + x3 can still be zero
+    total = 0
+    for x1 in range(1, n):
+        for x2 in range(x1, n):
+            s = -(x1 + x2) % n
+            if s == 0:
+                continue
+            # x3 in [x2, s // 2] (x3 + x4 = s) or [lo2, hi2] (= s + n)
+            hi1 = s // 2
+            lo2 = max(x2, s + 1)
+            hi2 = (s + n) // 2
+            total += max(0, hi1 - x2 + 1) + max(0, hi2 - lo2 + 1)
+            for bad in {n - x1, n - x2}:
+                if x2 <= bad <= hi1 or lo2 <= bad <= hi2:
+                    total -= 1
+    return total
+
+
+def _stabilizer_size(n, q):
+    # a unit t with sorted(t * q) == q maps d = q[0] to some y = d * r of
+    # q with gcd(r, n/d) == 1, so t == r (mod n/d): try only those t
+    d = q[0]
+    m = n // d
+    count = 0
+    for y in set(q):
+        r = y // d
+        if y % d or math.gcd(r, m) != 1:
+            continue
+        for t in range(r % m, n, m):
+            if math.gcd(t, n) == 1 and sorted(t * x % n for x in q) == list(q):
+                count += 1
+    return count
+
+
+def test_quad_class_orbits_partition_sorted_minimal_quads():
+    # the classes split X into unit orbits, so sum phi(n) / |Stab(q)|
+    # over the classes is |X|; a missed or doubled class breaks it
+    for n in range(2, 41):
+        assert _sorted_minimal_quad_count(n) == len(list(iter_minimal_tuples(n, 4))), n
+    expected = {
+        25: (32, 624),
+        30: (153, 1_082),
+        49: (116, 4_800),
+        60: (719, 8_840),
+        61: (155, 9_300),
+        105: (1_119, 47_770),
+        231: (4_591, 511_366),
+        385: (10_430, 2_371_584),
+        997: (41_417, 41_251_332),
+        1001: (59_686, 41_750_000),
+        1225: (95_836, 76_531_824),
+    }
+    for n, (class_count, x_count) in expected.items():
+        phi = factorize(n).phi()
+        classes = all_minimal_quad_classes(n)
+        orbit_sum = 0
+        for q in classes:
+            stab = _stabilizer_size(n, q)
+            assert phi % stab == 0, (n, q, stab)
+            orbit_sum += phi // stab
+        assert (len(classes), orbit_sum) == (class_count, x_count), n
+        assert _sorted_minimal_quad_count(n) == x_count, n
