@@ -169,6 +169,12 @@ def _multiset_minimal_zero_sum(n: int, values: tuple[int, ...]) -> bool:
     last value (take complements).  A length-1 multiset is never counted
     as minimal here: the lone identity is the trivial zero-sum sequence,
     and a lone non-identity is not zero-sum at all.
+
+    The subset sums have two representations.  An n-bit mask costs about
+    n / 64 machine words per element and n / 8 bytes, whatever k is; a
+    set of residues holds at most 2^(k-1) - 1 of them.  So the set is used
+    when 2^(k-1) * 64 < n (a short sequence over a large modulus: at
+    n near 2^31 the mask alone is 256 MB), and the mask otherwise.
     """
     if len(values) > MAX_MINIMALITY_LENGTH:
         raise LengthTooLarge(f"minimality guard: k = {len(values)} > 24")
@@ -176,7 +182,14 @@ def _multiset_minimal_zero_sum(n: int, values: tuple[int, ...]) -> bool:
         return False
     if sum(values) % n != 0:
         return False
-    return _subset_sum_bits(n, values[:-1]) & 1 == 0
+    head = values[:-1]
+    if (1 << len(head)) * 64 >= n:
+        return _subset_sum_bits(n, head) & 1 == 0
+    sums: set[int] = set()
+    for x in head:
+        sums |= {(s + x) % n for s in sums}
+        sums.add(x % n)
+    return 0 not in sums
 
 
 def is_reduced(seq: GroupSequence) -> bool:

@@ -23,9 +23,11 @@ x, because d (n / d) = n; and the lifts of d itself fix every multiple
 of d.  So the candidate images of q are q itself and, for each such
 x != d, (d, sorted(img[x], t y, t y')) over the other two elements y,
 y', and q is canonical iff each of these (at most three) sorted triples
-is at least (y2, y3, y4).  The least of the nine cross images settles
-almost every q at once: one below y2 gives a smaller image of q, and all
-above y2 make every image larger; only on a tie are the triples sorted
+is at least (y2, y3, y4).  The nine cross images settle almost every q
+at once.  img[x] >= y2 already holds for each x, so the six others are
+compared with y2 one by one, and the first below y2 gives a smaller
+image of q and ends the test; if all nine are above y2, every image is
+larger.  Only on a tie, some image equal to y2, are the triples sorted
 and compared.  A q with an element that is not a multiple of d
 (possible when some divisor of n above d is not a multiple of d) has
 images that depend on the lift, and goes to sequences._canonical_tuple.
@@ -213,10 +215,12 @@ def _stripe(
     multiple of d, the cross images (img[x] and (z // d) img[x] mod n for
     the other two elements z, for each x in y2, y3, y4 of gcd d other
     than d) decide canonicity exactly, ties included (see the module
-    docstring): the least below y2, not canonical; above, canonical;
-    equal, canonical iff the sorted triple of each such x is at least
-    [y2, y3, y4].  A quad with an element that is not a multiple of d
-    goes to sequences._canonical_tuple.
+    docstring).  The img[x] are >= y2 by then, so the six others are
+    compared with y2 in turn: the first below y2, not canonical, with no
+    further product taken; all above, canonical; a tie (any of the nine
+    equal to y2), canonical iff the sorted triple of each such x is at
+    least [y2, y3, y4].  A quad with an element that is not a multiple of
+    d goes to sequences._canonical_tuple.
     """
     top = n - d - 1
     m = cofactors[0] if cofactors else None
@@ -256,14 +260,36 @@ def _stripe(
                         yield quad
                     continue
                 k3, k4 = y3 // d, y4 // d
-                low = n
+                # i2, i3, i4 >= y2 here: only the cross images can rule q out
+                tie = y2 in (i2, i3, i4)
                 if i2 < n:
-                    low = min(i2, k3 * i2 % n, k4 * i2 % n)
+                    u = k3 * i2 % n
+                    if u < y2:
+                        continue
+                    v = k4 * i2 % n
+                    if v < y2:
+                        continue
+                    if u == y2 or v == y2:
+                        tie = True
                 if i3 < n:
-                    low = min(low, i3, k2 * i3 % n, k4 * i3 % n)
+                    u = k2 * i3 % n
+                    if u < y2:
+                        continue
+                    v = k4 * i3 % n
+                    if v < y2:
+                        continue
+                    if u == y2 or v == y2:
+                        tie = True
                 if i4 < n:
-                    low = min(low, i4, k2 * i4 % n, k3 * i4 % n)
-                if low > y2 or low == y2 and all(
+                    u = k2 * i4 % n
+                    if u < y2:
+                        continue
+                    v = k3 * i4 % n
+                    if v < y2:
+                        continue
+                    if u == y2 or v == y2:
+                        tie = True
+                if not tie or all(
                     sorted(image) >= [y2, y3, y4]
                     for image in (
                         (i2, k3 * i2 % n, k4 * i2 % n),
@@ -349,6 +375,10 @@ def enumerate_minimal_quads(
 def verify_conjecture(n: int) -> VerifyReport:
     """Compute the index of every minimal zero-sum quad class over Z_n.
 
+    A class whose canonical form sums to n has index 1 with no scan: the
+    unit t = 1 has norm sum / n = 1, and no zero-sum norm is below 1.
+    Every other class goes to the index kernel.
+
     The census classifies reduced classes with global gcd 1 when n is
     squarefree with exactly three prime factors; it is flagged vacuous
     when no class qualifies.
@@ -363,8 +393,11 @@ def verify_conjecture(n: int) -> VerifyReport:
     max_index = 0
     classes = all_minimal_quad_classes(n)
     for elems in classes:
-        num, _ = _index_numerator(n, elems)
-        value = num // n
+        if sum(elems) == n:
+            value = 1
+        else:
+            num, _ = _index_numerator(n, elems)
+            value = num // n
         if value > max_index:
             max_index = value
         if value > 1:

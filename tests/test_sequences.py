@@ -5,7 +5,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -27,7 +27,7 @@ from zsindex import (
     scale_seq,
     seq_norm,
 )
-from zsindex.sequences import _index_numerator
+from zsindex.sequences import _index_numerator, _multiset_minimal_zero_sum
 
 
 def _seq(n, values):
@@ -87,6 +87,53 @@ def test_minimality_requires_zero_sum():
 def test_minimality_length_guard():
     with pytest.raises(LengthTooLarge):
         is_minimal_zero_sum(_seq(25, [1] * 25))
+
+
+def test_minimality_builds_no_n_bit_mask():
+    # a short sequence keeps its subset sums in a set: no n-bit integer
+    # (5.3 MB peak at this n with the mask) is built
+    n = 20_000_003
+    seq = _seq(n, [1, 2, 3, n - 6])
+    tracemalloc.start()
+    try:
+        minimal = is_minimal_zero_sum(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert minimal
+    assert peak < 1_000_000
+
+
+def _brute_minimal(n, values):
+    if len(values) <= 1 or sum(values) % n:
+        return False
+    return not any(
+        sum(sub) % n == 0
+        for r in range(1, len(values))
+        for sub in combinations(values, r)
+    )
+
+
+def test_minimality_set_and_mask_match_brute_force():
+    # the set (2^(k-1) * 64 < n) and the mask decide alike; half the
+    # multisets draw from a few residues and their negatives, so that
+    # proper zero-sum subsets are common
+    rng = random.Random(2025)
+    seen = {"set": [0, 0], "mask": [0, 0]}
+    for _ in range(3000):
+        k = rng.randint(2, 7)
+        n = rng.choice((rng.randint(2, 300), rng.randint(2100, 20_000)))
+        if rng.random() < 0.5:
+            pool = [rng.randint(1, n) for _ in range(3)]
+            pool += [n - x or n for x in pool]
+        else:
+            pool = range(1, n + 1)
+        head = [rng.choice(pool) for _ in range(k - 1)]
+        values = tuple(sorted(head + [-sum(head) % n or n]))
+        expected = _brute_minimal(n, values)
+        assert _multiset_minimal_zero_sum(n, values) == expected, (n, values)
+        seen["set" if (1 << (k - 1)) * 64 < n else "mask"][expected] += 1
+    assert all(min(counts) >= 50 for counts in seen.values()), seen
 
 
 def test_index_examples():
