@@ -375,10 +375,6 @@ def enumerate_minimal_quads(
 def verify_conjecture(n: int) -> VerifyReport:
     """Compute the index of every minimal zero-sum quad class over Z_n.
 
-    A class whose canonical form sums to n has index 1 with no scan: the
-    unit t = 1 has norm sum / n = 1, and no zero-sum norm is below 1.
-    Every other class goes to the index kernel.
-
     The census classifies reduced classes with global gcd 1 when n is
     squarefree with exactly three prime factors; it is flagged vacuous
     when no class qualifies.
@@ -393,11 +389,8 @@ def verify_conjecture(n: int) -> VerifyReport:
     max_index = 0
     classes = all_minimal_quad_classes(n)
     for elems in classes:
-        if sum(elems) == n:
-            value = 1
-        else:
-            num, _ = _index_numerator(n, elems)
-            value = num // n
+        num, _ = _index_numerator(n, elems)
+        value = num // n
         if value > max_index:
             max_index = value
         if value > 1:

@@ -115,7 +115,7 @@ def _brute_minimal(n, values):
 
 
 def test_minimality_set_and_mask_match_brute_force():
-    # the set (2^(k-1) * 64 < n) and the mask decide alike; half the
+    # the set (n >= 256 * 2^(k-1)) and the mask decide alike; half the
     # multisets draw from a few residues and their negatives, so that
     # proper zero-sum subsets are common
     rng = random.Random(2025)
@@ -132,7 +132,7 @@ def test_minimality_set_and_mask_match_brute_force():
         values = tuple(sorted(head + [-sum(head) % n or n]))
         expected = _brute_minimal(n, values)
         assert _multiset_minimal_zero_sum(n, values) == expected, (n, values)
-        seen["set" if (1 << (k - 1)) * 64 < n else "mask"][expected] += 1
+        seen["set" if n >= 256 << (k - 1) else "mask"][expected] += 1
     assert all(min(counts) >= 50 for counts in seen.values()), seen
 
 

@@ -183,42 +183,6 @@ def test_verify_conjecture_12_out_of_domain():
         assert c.index_value == Fraction(2)
 
 
-def _ref_verify(n):
-    # the index kernel and the reducedness test on every class, with no
-    # shortcut from the class sum
-    mod = factorize(n)
-    cofactors = tuple(n // p for p in mod.prime_divisors)
-    three_prime = mod.is_squarefree and len(mod.prime_divisors) == 3
-    classes = all_minimal_quad_classes(n)
-    numerators = [verifier._index_numerator(n, elems)[0] for elems in classes]
-    reduced = [e for e in classes if verifier._is_reduced_quad_raw(n, e, cofactors)]
-    census = {}
-    for elems in reduced:
-        if three_prime and math.gcd(*elems, n) == 1:
-            key = classify_pattern(GroupSequence(mod, elems)).pattern.value
-            census[key] = census.get(key, 0) + 1
-    return (
-        len(classes),
-        max(numerators) // n,
-        [(e, num) for e, num in zip(classes, numerators) if num > n],
-        len(reduced),
-        census,
-    )
-
-
-def test_verify_conjecture_matches_full_kernel_reference():
-    # index 1 is read off the class sum; every other field must match a
-    # run of the kernel on every class
-    high = 0
-    for n in range(4, 151):
-        r = verify_conjecture(n)
-        cex = [(c.elems, c.index_numerator) for c in r.counterexamples]
-        got = (r.class_count, r.max_index, cex, r.reduced_count, r.pattern_census)
-        assert got == _ref_verify(n), n
-        high += r.max_index > 1
-    assert high == 97
-
-
 def test_verify_many_worker_count_invariance():
     ns = [12, 25, 35]
     runs = []
