@@ -33,6 +33,7 @@ from .lemmas import _conditions, assumption_b, compute_k1, compute_s, omega_buil
 from .sequences import GroupSequence, index_of
 from .verifier import (
     Counterexample,
+    _theorem21_moduli,
     enumerate_minimal_quads,
     search_high_index,
     validate_lemmas,
@@ -531,36 +532,29 @@ def cmd_validate(args) -> int:
         _emit(payload, args, lines)
         return 2 if anomalies else 0
 
+    theorem21 = args.target == "theorem21"
     if args.n is not None:
         ns = [args.n]
     elif args.min is not None and args.max is not None:
-        ns = list(modulus_range(max(args.min, 2), args.max))
+        ns = (_theorem21_moduli if theorem21 else modulus_range)(args.min, args.max)
     else:
         raise UsageError(f"{args.target} needs --n or both --min and --max")
 
-    reports = []
-    anomalies = 0
-    if args.target == "theorem21":
-        for n in ns:
-            if len(ns) > 1:
-                mod = factorize(n)
-                if not mod.is_squarefree or len(mod.prime_divisors) not in (3, 4):
-                    continue
-            report = validate_theorem21(n)
-            reports.append(report)
-            anomalies += len(report.anomalies)
+    reports = [(validate_theorem21 if theorem21 else validate_lemmas)(n) for n in ns]
+    if theorem21:
+        anomalies = sum(len(r.anomalies) for r in reports)
         lines = [
             f"n={r.n} qualifying={r.qualifying_count} census={r.census} "
             f"anomalies={len(r.anomalies)}"
             for r in reports
         ] or ["no moduli"]
     else:
-        for n in ns:
-            report = validate_lemmas(n)
-            reports.append(report)
-            anomalies += sum(len(v) for v in report.violations.values())
-            anomalies += len(report.probe_s_violations)
-            anomalies += len(report.probe_k1_violations)
+        anomalies = sum(
+            sum(len(v) for v in r.violations.values())
+            + len(r.probe_s_violations)
+            + len(r.probe_k1_violations)
+            for r in reports
+        )
         lines = [
             f"n={r.n} quads={r.quad_count} fired={r.fired} "
             f"violations={ {k: len(v) for k, v in r.violations.items()} } "

@@ -525,10 +525,12 @@ def search_high_index(
 
     Exhaustive mode covers every class for k <= 8 (quads through the
     class decomposition, other lengths through the pruned tuple walk);
-    randomized mode rejection-samples sorted tuples.  Results are one
-    canonical representative per class, sorted by (n, class).  A limit
-    >= 0 stops the search at the first modulus that reaches it and keeps
-    the first limit hits; a negative limit is rejected.
+    randomized mode rejection-samples sorted tuples.  The moduli come
+    from `modulus_range`, so an n_hi above 2^31 is refused up front.
+    Results are one canonical representative per class, sorted by (n,
+    class).  A limit >= 0 stops the search at the first modulus that
+    reaches it and keeps the first limit hits; a negative limit is
+    rejected.
     """
     if mode not in ("exhaustive", "random"):
         raise PreconditionViolated(f"unknown search mode {mode!r}")
@@ -538,10 +540,9 @@ def search_high_index(
         raise PreconditionViolated(f"limit must be >= 0, got {limit}")
     hits: list[Counterexample] = []
     rng = random.Random(seed)
-    for n in range(max(n_lo, 2), n_hi + 1):
+    for n in modulus_range(n_lo, n_hi):
         if k >= n:
             continue
-        factorize(n)  # refuses n > 2^31, which random sampling never checks
         if mode == "random":
             stream = _sample_minimal_tuples(n, k, samples, rng)
         elif k == 4:
@@ -574,6 +575,13 @@ def _reduced_unit_classes(n: int) -> list[tuple[int, ...]]:
     return list(_quad_classes(n, (1,), reduced=True))
 
 
+def _theorem21_moduli(lo: int, hi: int) -> list[int]:
+    """Theorem 2.1's modulus rule: the moduli in [max(lo, 2), hi] that are
+    squarefree with three or four prime factors."""
+    mods = map(factorize, modulus_range(lo, hi))
+    return [m.n for m in mods if m.is_squarefree and len(m.factors) in (3, 4)]
+
+
 def validate_theorem21(n: int) -> Theorem21Report:
     """Check every reduced class with global gcd 1 and a unit element
     against the gcd-multiset statements.
@@ -585,7 +593,7 @@ def validate_theorem21(n: int) -> Theorem21Report:
     t0 = time.perf_counter()
     mod = factorize(n)
     d = len(mod.prime_divisors)
-    if not mod.is_squarefree or d not in (3, 4):
+    if not _theorem21_moduli(n, n):
         raise PreconditionViolated(
             f"validator needs squarefree n with 3 or 4 primes, got {mod.factors}"
         )
@@ -731,22 +739,16 @@ def validate_lemmas(n: int) -> LemmaSweepReport:
     )
 
 
-def three_prime_moduli(lo: int, hi: int, coprime_to_6: bool = True) -> list[int]:
-    """Moduli in (lo, hi] that are products of three distinct primes."""
-    out = []
-    for n in modulus_range(max(lo + 1, 2), hi):
-        mod = factorize(n)
-        if not mod.is_squarefree or len(mod.prime_divisors) != 3:
-            continue
-        if coprime_to_6 and not mod.coprime_to_6:
-            continue
-        out.append(n)
-    return out
+def three_prime_moduli(lo: int, hi: int) -> list[int]:
+    """Remark 3.2's moduli: those of theorem 2.1 in [max(lo, 2), hi] with
+    three prime factors and coprime to 6."""
+    mods = map(factorize, _theorem21_moduli(lo, hi))
+    return [m.n for m in mods if len(m.factors) == 3 and m.coprime_to_6]
 
 
 def validate_remark32(lo: int, hi: int) -> Remark32Report:
     """Check the lower bound on a over every qualifying reduced class
-    with modulus in (lo, hi].
+    with modulus in [lo, hi] (`three_prime_moduli`).
 
     Qualifying means: three-prime squarefree modulus coprime to 6, class
     reduced with global gcd 1 and a unit element, pattern A2/A3/A4.

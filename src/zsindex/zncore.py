@@ -89,10 +89,11 @@ def factorize(n: int) -> Modulus:
 
 
 def modulus_range(lo: int, hi: int) -> range:
-    """range(lo, hi + 1), refused with ModulusOutOfRange if hi > MAX_MODULUS."""
+    """The moduli in [max(lo, 2), hi], both ends included; refused with
+    ModulusOutOfRange before anything is listed if hi > MAX_MODULUS."""
     if hi > MAX_MODULUS:
         raise ModulusOutOfRange(f"modulus must be in [2, 2^31], got {hi}")
-    return range(lo, hi + 1)
+    return range(max(lo, 2), hi + 1)
 
 
 def residue_rep(x: int, n: int) -> int:

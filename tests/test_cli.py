@@ -478,6 +478,39 @@ def test_validate_range_mode_skips_nonconforming(capsys):
     assert [r["n"] for r in payload["reports"]] == [385]
 
 
+def test_validate_one_modulus_range_skips_nonconforming(capsys):
+    # a range of one modulus skips like any other range; --n still refuses
+    code, out, _ = run_cli(
+        capsys, "validate", "--target", "theorem21", "--min", "31", "--max", "31",
+        "--format", "text",
+    )
+    assert (code, out) == (0, "no moduli\n")
+    code, out, err = run_cli(capsys, "validate", "--target", "theorem21", "--n", "31")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: PreconditionViolated")
+
+
+def test_validate_remark32_range_includes_min(capsys):
+    code, payload, _ = run_json(
+        capsys, "validate", "--target", "remark32", "--min", "385", "--max", "385"
+    )
+    assert code == 0
+    assert payload["checked_moduli"] == [385]
+    assert payload["vacuous_moduli"] == [385]
+
+
+def test_search_refuses_out_of_range_max_up_front(capsys):
+    # the moduli below 2^31 in the range are not searched first
+    code, out, err = run_cli(
+        capsys, "search", "--min", "2147483646", "--max", "2147483650", "--k", "4",
+        "--mode", "random", "--samples", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: ModulusOutOfRange: modulus must be in [2, 2^31], got 2147483650\n"
+    )
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "verify", "--min", "50", "--max", "10")[0] == 1
     assert run_cli(capsys, "nonsense")[0] == 1
@@ -508,6 +541,7 @@ def test_runtime_error_exit_one(capsys):
         ("validate", "--target", "lemmas", "--min", "5", "--max", "10000000000"),
         ("validate", "--target", "theorem21", "--min", "5", "--max", "10000000000"),
         ("validate", "--target", "remark32", "--min", "5", "--max", "10000000000"),
+        ("search", "--min", "5", "--max", "10000000000", "--k", "4"),
     ],
 )
 def test_out_of_range_modulus_is_an_error_line(capsys, argv):
