@@ -43,7 +43,6 @@ from .verifier import (
 )
 from .zncore import factorize, modulus_range
 
-_FORMATS = ("json", "csv", "text")
 # Hashed into every cache digest.  Bump it when a cached row's meaning
 # changes (the record fields, or what verify_conjecture counts as a
 # class) so that rows written under the old meaning are recomputed.
@@ -67,8 +66,8 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--format", choices=_FORMATS, default="json")
+    def common(p, formats=("json", "text")):
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--output", default=None, help="write the report here")
 
     p = sub.add_parser("index", help="exact index of one or more sequences")
@@ -110,7 +109,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--cache", default=None, help="append-only JSONL cache path")
     p.add_argument("--strict-cache", action="store_true")
-    common(p)
+    common(p, ("json", "csv", "text"))
 
     p = sub.add_parser("search", help="hunt for classes with index >= bound")
     p.add_argument("--min", type=int, default=5)
@@ -171,19 +170,17 @@ def _emit(payload, args, text_lines, csv_rows=None) -> None:
     """Render the report in the requested format to --output or stdout.
 
     text_lines must be nonempty: a command with no results says so in a
-    line of its own.  csv_rows (header first) is given only by commands
-    that support csv.
+    line of its own.  csv_rows (header first) is given by verify, the
+    only command whose parser accepts --format csv.
     """
     if args.format == "json":
         rendered = json.dumps(payload, indent=2, default=_jsonable) + "\n"
     elif args.format == "text":
         rendered = "\n".join(text_lines) + "\n"
-    elif csv_rows is not None:
+    else:
         buf = io.StringIO()
         csv.writer(buf).writerows(csv_rows)
         rendered = buf.getvalue()
-    else:
-        raise UsageError("csv format is only supported for the verify command")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(rendered)
@@ -412,8 +409,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.min < 2 or args.min > args.max:
-        raise UsageError("need 2 <= --min <= --max")
     jobs = _resolve_jobs(args.jobs)
     digest = _config_digest()
     ns = [
@@ -519,6 +514,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.n is not None and (args.min is not None or args.max is not None):
+        raise UsageError("--n excludes --min and --max")
     if args.target == "remark32":
         if args.min is None or args.max is None:
             raise UsageError("remark32 needs --min and --max")

@@ -188,12 +188,10 @@ def _census(counts: Counter[Pattern]) -> dict[str, int]:
     return {p.value: counts[p] for p in Pattern if counts[p]}
 
 
-def _stripe(
-    n: int, d: int, cofactors: tuple[int, ...] | None = None
-) -> Iterator[tuple[int, ...]]:
+def _stripe(n: int, d: int, reduced: bool = False) -> Iterator[tuple[int, ...]]:
     """The canonical sorted minimal zero-sum quads (d, y2, y3, y4), y4
-    forced, whose elements all have gcd(y, n) >= d; with cofactors (n // p
-    for each prime p | n, least p first), only the reduced ones.
+    forced, whose elements all have gcd(y, n) >= d; with reduced, only
+    the reduced ones.
 
     Such a quad is minimal iff no element equals n - d (no pair with
     the first element vanishes).  A residue y above n - d has
@@ -203,10 +201,11 @@ def _stripe(
     for a fixed y2, every y3 of total n is at most (n - d - y2) / 2, below
     n - y2 + 1, the least y3 of total 2n.
 
-    Given cofactors, only the quads holding an anchor y == 0 or -d
-    (mod m), m = cofactors[0], are walked: for a y2 that is not one, y3
-    keeps the residues 0, -d, rest and rest + d mod m, the last two
-    making y4 the anchor.  Reducedness is tested before canonicity.
+    With reduced, the cofactors n // p are taken least prime p first, and
+    only the quads holding an anchor y == 0 or -d (mod m), m = n // p for
+    the least p, are walked: for a y2 that is not one, y3 keeps the
+    residues 0, -d, rest and rest + d mod m, the last two making y4 the
+    anchor.  Reducedness is tested before canonicity.
 
     For y of gcd d, img[y] = d ((y / d)^-1 mod n / d) is the image of d
     under every unit mapping y to d; img is n where gcd(y, n) > d, which
@@ -223,7 +222,8 @@ def _stripe(
     d goes to sequences._canonical_tuple.
     """
     top = n - d - 1
-    m = cofactors[0] if cofactors else None
+    cofactors = tuple(n // p for p in factorize(n).prime_divisors) if reduced else ()
+    m = cofactors[0] if reduced else None
     img = [n] * n if d == 1 else [n if math.gcd(y, n) > d else -1 for y in range(n)]
     nd = n // d
     img[::d] = [d * pow(r, -1, nd) if math.gcd(r, nd) == 1 else n for r in range(nd)]
@@ -301,20 +301,6 @@ def _stripe(
                     yield quad
 
 
-def _quad_classes(
-    n: int, stripes: tuple[int, ...], reduced: bool = False
-) -> Iterator[tuple[int, ...]]:
-    """Canonical class representatives, lazily, from the stripes of the
-    divisors in stripes.  Ascending divisors give the classes in sorted
-    order.  With reduced, only the reduced ones, each stripe walked
-    through its anchors mod n // p for the least prime p (see the module
-    docstring)."""
-    primes = factorize(n).prime_divisors
-    cofactors = tuple(n // p for p in primes) if reduced else None
-    for d in stripes:
-        yield from _stripe(n, d, cofactors)
-
-
 def all_minimal_quad_classes(n: int) -> list[tuple[int, ...]]:
     """Sorted canonical representatives of every minimal zero-sum quad
     class over Z_n, including classes with nontrivial global gcd.
@@ -325,7 +311,7 @@ def all_minimal_quad_classes(n: int) -> list[tuple[int, ...]]:
     yields each class once, in order: the stripes run by increasing d
     and each yields its tuples in lexicographic order.
     """
-    return list(_quad_classes(n, factorize(n).divisors()[:-1]))
+    return [q for d in factorize(n).divisors()[:-1] for q in _stripe(n, d)]
 
 
 def naive_minimal_quad_classes(n: int) -> list[tuple[int, ...]]:
@@ -355,7 +341,9 @@ def enumerate_minimal_quads(
 ) -> Iterator[GroupSequence]:
     """Stream canonical class representatives in sorted order, lazily.
 
-    The classes come from the divisor stripes of all_minimal_quad_classes.
+    The classes come from _stripe, called on each proper divisor of n in
+    ascending order, and no stripe is opened before the last class of the
+    one below it is taken.
     A class has a unit element iff its canonical member starts with 1, so
     require_coprime_element reads the d = 1 stripe alone; require_reduced
     walks each stripe through its anchors.  Pattern filtering implies
@@ -363,7 +351,7 @@ def enumerate_minimal_quads(
     """
     mod = factorize(n)
     stripes = (1,) if require_coprime_element else mod.divisors()[:-1]
-    for elems in _quad_classes(n, stripes, require_reduced):
+    for elems in (q for d in stripes for q in _stripe(n, d, require_reduced)):
         if pattern is not None and math.gcd(*elems, n) != 1:
             continue
         seq = GroupSequence(mod, elems)
@@ -526,7 +514,7 @@ def search_high_index(
     Exhaustive mode covers every class for k <= 8 (quads through the
     class decomposition, other lengths through the pruned tuple walk);
     randomized mode rejection-samples sorted tuples.  The moduli come
-    from `modulus_range`, so an n_hi above 2^31 is refused up front.
+    from `modulus_range`, which refuses a bad range up front.
     Results are one canonical representative per class, sorted by (n,
     class).  A limit >= 0 stops the search at the first modulus that
     reaches it and keeps the first limit hits; a negative limit is
@@ -572,7 +560,7 @@ def search_high_index(
 
 def _reduced_unit_classes(n: int) -> list[tuple[int, ...]]:
     """Sorted canonical reduced classes that contain a unit element."""
-    return list(_quad_classes(n, (1,), reduced=True))
+    return list(_stripe(n, 1, True))
 
 
 def _theorem21_moduli(lo: int, hi: int) -> list[int]:

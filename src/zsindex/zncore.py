@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ModulusOutOfRange, NotAUnit
+from .errors import ModulusOutOfRange, NotAUnit, PreconditionViolated
 
 MAX_MODULUS = 2**31
 
@@ -89,10 +89,13 @@ def factorize(n: int) -> Modulus:
 
 
 def modulus_range(lo: int, hi: int) -> range:
-    """The moduli in [max(lo, 2), hi], both ends included; refused with
-    ModulusOutOfRange before anything is listed if hi > MAX_MODULUS."""
+    """The moduli in [max(lo, 2), hi], both ends included.  Refused
+    before anything is listed: with ModulusOutOfRange if hi > MAX_MODULUS,
+    else with PreconditionViolated if lo > hi."""
     if hi > MAX_MODULUS:
         raise ModulusOutOfRange(f"modulus must be in [2, 2^31], got {hi}")
+    if lo > hi:
+        raise PreconditionViolated(f"range needs lo <= hi, got lo={lo} > hi={hi}")
     return range(max(lo, 2), hi + 1)
 
 

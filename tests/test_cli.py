@@ -194,12 +194,22 @@ def test_verify_csv_format(tmp_path, capsys):
     assert all(r[1] == "verified" and r[3] == "1" for r in rows[1:])
 
 
-def test_csv_rejected_elsewhere(capsys):
-    code, _, err = run_cli(
-        capsys, "index", "--n", "11", "--seq", "1,4,8,9", "--format", "csv"
-    )
-    assert code == 1
-    assert "csv" in err
+def test_csv_rejected_elsewhere(capsys, monkeypatch):
+    # only verify's parser offers csv: the other commands refuse it while
+    # parsing, before their library call runs
+    def never(*args, **kwargs):
+        raise AssertionError("called before --format was checked")
+
+    monkeypatch.setattr(cli, "search_high_index", never)
+    monkeypatch.setattr(cli, "validate_lemmas", never)
+    for argv in (
+        ("index", "--n", "11", "--seq", "1,4,8,9"),
+        ("search", "--min", "5", "--max", "60", "--k", "5"),
+        ("validate", "--target", "lemmas", "--n", "25"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, out) == (1, ""), argv
+        assert "csv" in err, argv
 
 
 def test_verify_config_digest_pinned(capsys):
@@ -549,6 +559,35 @@ def test_out_of_range_modulus_is_an_error_line(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ModulusOutOfRange")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--min", "10", "--max", "5", "--k", "4"),
+        ("validate", "--target", "lemmas", "--min", "10", "--max", "5"),
+        ("validate", "--target", "remark32", "--min", "1400", "--max", "1000"),
+    ],
+)
+def test_inverted_range_is_an_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: PreconditionViolated")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--target", "theorem21", "--n", "385", "--min", "1000",
+         "--max", "2000"),
+        ("validate", "--target", "remark32", "--n", "5", "--min", "1000",
+         "--max", "1400"),
+    ],
+)
+def test_validate_n_excludes_range(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --n excludes --min and --max")
 
 
 def test_jobs_env_var(tmp_path, capsys, monkeypatch):

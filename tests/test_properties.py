@@ -265,3 +265,13 @@ def test_quad_class_orbits_partition_sorted_minimal_quads():
             orbit_sum += phi // stab
         assert (len(classes), orbit_sum) == (class_count, x_count), n
         assert _sorted_minimal_quad_count(n) == x_count, n
+
+
+def test_prime_class_count_law():
+    # at a prime p >= 5 no unit t != 1 fixes a minimal quad class, and
+    # |X| / (p - 1) = (p^2 - 1) / 24; checked far above the naive
+    # oracle's range, on the d = 1 stripe alone
+    primes = [p for p in range(5, 700) if factorize(p).prime_divisors == (p,)]
+    assert len(primes) == 123
+    for p in primes:
+        assert len(all_minimal_quad_classes(p)) == (p * p - 1) // 24, p
