@@ -557,7 +557,7 @@ def cmd_validate(args) -> int:
             f"violations={ {k: len(v) for k, v in r.violations.items()} } "
             f"findings_34={len(r.findings_34)}"
             for r in reports
-        ] or ["no moduli"]
+        ]
     payload = {"target": args.target, "anomaly_count": anomalies, "reports": reports}
     _emit(payload, args, lines)
     return 2 if anomalies else 0

@@ -52,9 +52,10 @@ import random
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator
 
 from .classify import (
@@ -410,13 +411,6 @@ def verify_conjecture(n: int) -> VerifyReport:
     )
 
 
-def _verify_worker(n: int) -> tuple[int, VerifyReport | None, str | None]:
-    try:
-        return n, verify_conjecture(n), None
-    except Exception as exc:
-        return n, None, f"{type(exc).__name__}: {exc}"
-
-
 def verify_many(
     ns: list[int],
     jobs: int | None = None,
@@ -426,30 +420,28 @@ def verify_many(
 
     Results are reported through on_result as they complete (single
     caller thread) and returned sorted by n, so the final output does
-    not depend on the worker count.  If a worker process dies, every n
-    it left unfinished is reported as an error instead of aborting the
-    run.
+    not depend on the worker count.  Any failure of a modulus (an
+    exception, or a dead worker's BrokenProcessPool) is reported as
+    (n, None, "<type>: <message>") instead of aborting the run.
     """
     if jobs is None or jobs < 1:
         jobs = os.cpu_count() or 1
     results: dict[int, tuple[int, VerifyReport | None, str | None]] = {}
-    if jobs == 1 or len(ns) <= 1:
-        for n in ns:
-            item = _verify_worker(n)
+    with ExitStack() as stack:
+        if jobs == 1 or len(ns) <= 1:
+            calls = ((n, partial(verify_conjecture, n)) for n in ns)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            futures = {pool.submit(verify_conjecture, n): n for n in ns}
+            calls = ((futures[fut], fut.result) for fut in as_completed(futures))
+        for n, call in calls:
+            try:
+                item = (n, call(), None)
+            except Exception as exc:
+                item = (n, None, f"{type(exc).__name__}: {exc}")
             results[n] = item
             if on_result is not None:
                 on_result(*item)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_verify_worker, n): n for n in ns}
-            for fut in as_completed(futures):
-                try:
-                    item = fut.result()
-                except BrokenProcessPool as exc:
-                    item = (futures[fut], None, f"BrokenProcessPool: {exc}")
-                results[item[0]] = item
-                if on_result is not None:
-                    on_result(*item)
     return [results[n] for n in sorted(results)]
 
 
@@ -514,22 +506,27 @@ def search_high_index(
     Exhaustive mode covers every class for k <= 8 (quads through the
     class decomposition, other lengths through the pruned tuple walk);
     randomized mode rejection-samples sorted tuples.  The moduli come
-    from `modulus_range`, which refuses a bad range up front.
+    from `modulus_range`, which refuses a bad range up front; k < 1, a
+    negative limit and random samples < 1 are refused too.  Only n < k
+    is skipped: no minimal zero-sum sequence over Z_n is longer than n.
     Results are one canonical representative per class, sorted by (n,
     class).  A limit >= 0 stops the search at the first modulus that
-    reaches it and keeps the first limit hits; a negative limit is
-    rejected.
+    reaches it and keeps the first limit hits.
     """
     if mode not in ("exhaustive", "random"):
         raise PreconditionViolated(f"unknown search mode {mode!r}")
     if mode == "exhaustive" and k > 8:
         raise PreconditionViolated("exhaustive search is guarded at k <= 8")
+    if k < 1:
+        raise PreconditionViolated(f"k must be >= 1, got {k}")
+    if mode == "random" and samples < 1:
+        raise PreconditionViolated(f"samples must be >= 1, got {samples}")
     if limit is not None and limit < 0:
         raise PreconditionViolated(f"limit must be >= 0, got {limit}")
     hits: list[Counterexample] = []
     rng = random.Random(seed)
     for n in modulus_range(n_lo, n_hi):
-        if k >= n:
+        if k > n:
             continue
         if mode == "random":
             stream = _sample_minimal_tuples(n, k, samples, rng)

@@ -91,11 +91,13 @@ def factorize(n: int) -> Modulus:
 def modulus_range(lo: int, hi: int) -> range:
     """The moduli in [max(lo, 2), hi], both ends included.  Refused
     before anything is listed: with ModulusOutOfRange if hi > MAX_MODULUS,
-    else with PreconditionViolated if lo > hi."""
+    else with PreconditionViolated if lo > hi or hi < 2 (no modulus)."""
     if hi > MAX_MODULUS:
         raise ModulusOutOfRange(f"modulus must be in [2, 2^31], got {hi}")
     if lo > hi:
         raise PreconditionViolated(f"range needs lo <= hi, got lo={lo} > hi={hi}")
+    if hi < 2:
+        raise PreconditionViolated(f"range holds no modulus >= 2, got hi={hi}")
     return range(max(lo, 2), hi + 1)
 
 

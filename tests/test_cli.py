@@ -14,14 +14,14 @@ import pytest
 from zsindex import __version__, cli, verifier
 from zsindex.cli import main
 
-_real_verify_worker = verifier._verify_worker
+_real_verify_conjecture = verifier.verify_conjecture
 
 
 def _worker_dying_at_11(n):
     # module level so that the process pool can pickle it by name
     if n == 11:
         os._exit(3)
-    return _real_verify_worker(n)
+    return _real_verify_conjecture(n)
 
 
 def run_cli(capsys, *argv):
@@ -369,7 +369,7 @@ def test_verify_dead_worker_becomes_error_rows(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "runs.jsonl"
     args = ("verify", "--min", "5", "--max", "16", "--jobs", "2",
             "--cache", str(cache))
-    monkeypatch.setattr(verifier, "_verify_worker", _worker_dying_at_11)
+    monkeypatch.setattr(verifier, "verify_conjecture", _worker_dying_at_11)
     code, first, err = run_json(capsys, *args)
     assert code == 1
     assert "BrokenProcessPool" in err
@@ -567,6 +567,13 @@ def test_out_of_range_modulus_is_an_error_line(capsys, argv):
         ("search", "--min", "10", "--max", "5", "--k", "4"),
         ("validate", "--target", "lemmas", "--min", "10", "--max", "5"),
         ("validate", "--target", "remark32", "--min", "1400", "--max", "1000"),
+        # a range with no modulus >= 2 checks nothing
+        ("search", "--min", "0", "--max", "1", "--k", "4"),
+        ("verify", "--min", "1", "--max", "1"),
+        ("validate", "--target", "lemmas", "--min", "-5", "--max", "1"),
+        ("validate", "--target", "lemmas", "--min", "0", "--max", "1"),
+        ("validate", "--target", "theorem21", "--min", "0", "--max", "1"),
+        ("validate", "--target", "remark32", "--min", "0", "--max", "1"),
     ],
 )
 def test_inverted_range_is_an_error_line(capsys, argv):
@@ -622,7 +629,6 @@ def test_text_format(tmp_path, capsys):
         (["index", "--n", "11", "--file", str(empty)], "no sequences"),
         (["enumerate", "--n", "5", "--pattern", "A1"], "no classes"),
         (["validate", "--target", "theorem21", "--min", "0", "--max", "20"], "no moduli"),
-        (["validate", "--target", "lemmas", "--min", "0", "--max", "1"], "no moduli"),
     ):
         code, out, _ = run_cli(capsys, *argv, "--format", "text")
         assert (code, out) == (0, line + "\n"), argv

@@ -48,6 +48,16 @@ from test_lemmas import (
 )
 
 
+_real_verify_conjecture = verify_conjecture
+
+
+def _verify_failing_at_12(n):
+    # module level so that the process pool can pickle it by name
+    if n == 12:
+        raise PreconditionViolated("boom at 12")
+    return _real_verify_conjecture(n)
+
+
 def test_decomposition_matches_naive_spot():
     for n in (5, 11, 12, 24, 30, 45):
         assert set(all_minimal_quad_classes(n)) == set(naive_minimal_quad_classes(n))
@@ -204,6 +214,22 @@ def test_verify_many_on_result_callback():
     assert sorted(seen) == [(12, None), (25, None)]
 
 
+def test_verify_many_error_path_same_under_both_runners(monkeypatch):
+    # an exception is one error item whether raised in-process or in a worker
+    monkeypatch.setattr(verifier, "verify_conjecture", _verify_failing_at_12)
+    runs = [
+        [
+            (n, rep and dataclasses.replace(rep, elapsed=0.0), err)
+            for n, rep, err in verify_many([5, 7, 12], jobs=jobs)
+        ]
+        for jobs in (1, 2)
+    ]
+    assert runs[0] == runs[1]
+    assert [n for n, _, _ in runs[0]] == [5, 7, 12]
+    assert runs[0][2] == (12, None, "PreconditionViolated: boom at 12")
+    assert all(rep is not None and err is None for _, rep, err in runs[0][:2])
+
+
 def test_iter_minimal_tuples_complete():
     n, k = 10, 5
     mod = factorize(n)
@@ -283,6 +309,24 @@ def test_search_guards():
         search_high_index(2, 20, 4, mode="guess")
     with pytest.raises(PreconditionViolated):
         search_high_index(2, 20, 4, limit=-1)
+    # a search that checks nothing is refused
+    for k in (0, -3):
+        with pytest.raises(PreconditionViolated, match=f"k must be >= 1, got {k}"):
+            search_high_index(5, 9, k)
+    for samples in (0, -5):
+        with pytest.raises(PreconditionViolated, match=f"got {samples}"):
+            search_high_index(5, 9, 4, mode="random", samples=samples)
+    # k = 1 is legal: no element of [1, n-1] is a zero-sum sequence
+    assert search_high_index(5, 9, 1, min_index=1) == []
+
+
+def test_search_keeps_length_n_classes():
+    # (1, ..., 1) of length n is minimal over Z_n: k = n is not skipped
+    for n in (4, 5):
+        hits = search_high_index(n, n, n, min_index=1)
+        assert [(h.n, h.elems, h.index_numerator) for h in hits] == [
+            (n, (1,) * n, n)
+        ]
 
 
 def test_delegation_cross_check():
